@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg as la
@@ -546,6 +546,7 @@ class Cone(Polyhedron):
         return cls.from_halfspaces(halfspaces, ambient)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, ambient: int) -> "Cone":
         return cls.from_rays((), ambient)
 
@@ -609,6 +610,7 @@ class Fan:
     ambient: int
     cones: tuple[Cone, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _faces: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.cones)})
@@ -654,13 +656,14 @@ class Fan:
 
     def face_indices(self, index: int) -> tuple[int, ...]:
         """Indices of the faces of cone `index` (itself included)."""
-        cone = self.cones[index]
-        out = []
-        for f in cone.faces():
-            i = self.index_of(f)
-            assert i is not None
-            out.append(i)
-        return tuple(sorted(out))
+        if index not in self._faces:
+            out = []
+            for f in self.cones[index].faces():
+                i = self.index_of(f)
+                assert i is not None
+                out.append(i)
+            self._faces[index] = tuple(sorted(out))
+        return self._faces[index]
 
     def __len__(self):
         return len(self.cones)

@@ -7,6 +7,12 @@ N_Q / span(sigma).  This module computes the quotient-lattice coordinates
 Hilbert bases of pointed cones, and the boundary strata hit by the closure
 of an admissible polyhedron.
 
+Hilbert bases follow Normaliz (Bruns–Ichim, J. Algebra 2010): the cone is
+covered by the simplicial cones on linearly independent subsets of its
+extreme rays, the lattice points of each half-open fundamental
+parallelepiped are read off the Smith normal form of the subset, and the
+union is reduced to its irreducible elements.  No linear program is solved.
+
 Monomial exponents pair with quotient coordinates through the sublattice
 M_sigma = span(sigma)^perp intersected with M; the chosen bases are dual
 to each other by construction.
@@ -17,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import floor
 from typing import Sequence
 
 from . import linalg as la
-from . import lp
 from .errors import NotAdmissible, NotPointed
 from .polyhedra import Cone, Fan, Polyhedron, is_admissible
 
@@ -38,37 +44,44 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone.from_halfspaces([(g, Fraction(0)) for g in gens], cone.ambient)
 
 
-def _zonotope_lattice_points(gens: Sequence[IntVector], ambient: int) -> list[IntVector]:
-    """Integer points of {sum mu_i g_i : 0 <= mu_i <= 1}."""
-    if not gens:
-        return [()] if ambient == 0 else [(0,) * ambient]
-    lo = [sum(min(0, g[c]) for g in gens) for c in range(ambient)]
-    hi = [sum(max(0, g[c]) for g in gens) for c in range(ambient)]
-    k = len(gens)
-    ge = []
-    for i in range(k):
-        row = [Fraction(0)] * k
-        row[i] = Fraction(1)
-        ge.append((list(row), Fraction(0)))
-        ge.append(([-v for v in row], Fraction(-1)))
+def _parallelepiped_points(gens: Sequence[IntVector]) -> list[IntVector]:
+    """Nonzero integer points of {lam . G : 0 <= lam_i < 1} for independent rows G.
+
+    With s * G * t = d (Smith normal form) the group (Z^n ∩ span G) / ZG is
+    the product of the Z/d_i: each z with 0 <= z_i < d_i names one coset,
+    whose points have coordinates lam = (z_1/d_1, ..., z_r/d_r) . s in G.
+    Taking fractional parts of lam picks the coset's point in the half-open
+    parallelepiped, so there are d_1 * ... * d_r points, zero included.
+    """
+    s, d, _ = la.smith_normal_form(gens)
+    r = len(gens)
     points = []
-    for x in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        eq = []
-        for c in range(ambient):
-            eq.append(([Fraction(g[c]) for g in gens], Fraction(x[c])))
-        if lp.feasible_point(ge=ge, eq=eq) is not None:
-            points.append(x)
+    for z in product(*[range(d[i][i]) for i in range(r)]):
+        if not any(z):
+            continue
+        lam = [sum((Fraction(z[i], d[i][i]) * s[i][j] for i in range(r)), Fraction(0))
+               for j in range(r)]
+        frac_part = [c - floor(c) for c in lam]
+        x = [sum((f * g[c] for f, g in zip(frac_part, gens)), Fraction(0))
+             for c in range(len(gens[0]))]
+        points.append(tuple(int(v) for v in x))
     return points
 
 
 def hilbert_basis(cone: Cone, lattice: Sequence[Sequence] | None = None) -> tuple[IntVector, ...]:
     """Minimal generating set of cone ∩ L for a pointed cone.
 
-    Fundamental-parallelepiped enumeration with minimalization: candidates
-    are the lattice points of the zonotope spanned by the primitive rays,
-    and a candidate is kept iff it does not split as a sum of two nonzero
-    semigroup elements.  `lattice`, if given, is a full-rank basis matrix
-    (rows, rational entries); coordinates returned are in that basis.
+    Normaliz's method (Bruns–Ichim, "Normaliz: algorithms for affine
+    monoids and rational cones", J. Algebra 2010): the simplicial cones
+    spanned by the linearly independent rank-sized subsets of the primitive
+    extreme rays cover the cone (Carathéodory), and every irreducible
+    element other than a ray lies in the half-open fundamental
+    parallelepiped of one of them.  Those points are listed from the Smith
+    normal form of the subset, and together with the rays they are the
+    candidates.  A candidate is kept iff it does not split as a sum of two
+    nonzero semigroup elements; a pointed cone has exactly one such set.
+    `lattice`, if given, is a full-rank basis matrix (rows, rational
+    entries); coordinates returned are in that basis.
     """
     if not cone.is_pointed:
         raise NotPointed("Hilbert bases require a pointed cone")
@@ -88,8 +101,12 @@ def hilbert_basis(cone: Cone, lattice: Sequence[Sequence] | None = None) -> tupl
         if not working.is_pointed:
             raise NotPointed("cone is not pointed relative to the lattice")
     rays = working.rays
-    candidates = [x for x in _zonotope_lattice_points(rays, ambient)
-                  if any(v != 0 for v in x)]
+    rank = la.rank(rays)
+    found = set(rays)
+    for gens in combinations(rays, rank):
+        if la.rank(gens) == rank:
+            found.update(_parallelepiped_points(gens))
+    candidates = sorted(found)
 
     def in_semigroup(x: IntVector) -> bool:
         return working.contains(x)

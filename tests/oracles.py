@@ -4,7 +4,8 @@ These are deliberately written from the definitions, before and
 independently of the fast paths they check: direction tests evaluate raw
 input inequalities, hull membership solves the convex-combination system,
 semigroup generation enumerates a lattice box and minimalizes by
-reducibility, and the corner locus is reconstructed from a grid scan.
+reducibility, Hilbert bases test each point of the zonotope's bounding
+box by LP, and the corner locus is reconstructed from a grid scan.
 Only the exact LP core is shared with the library (it is unit-tested on
 its own).
 """
@@ -115,6 +116,43 @@ def semigroup_generators_boxed(poly: Polyhedron, denominator: int, u_bound: int,
     level = ((0,) * d, F(1, denominator))
     if level not in basis:
         basis.append(level)
+    return tuple(sorted(basis))
+
+
+def hilbert_basis_zonotope(cone):
+    """Hilbert basis of a pointed cone from the zonotope of its extreme rays.
+
+    Every irreducible element is a point of {sum mu_i g_i : 0 <= mu_i <= 1}
+    over the primitive extreme rays g_i.  Each nonzero integer point of that
+    zonotope's bounding box that lies in the cone is tested by one
+    feasibility LP in mu, and the points found are minimalized by
+    reducibility: x is kept iff no other candidate y leaves x - y in the
+    cone.
+    """
+    gens = cone.rays
+    n = cone.ambient
+    k = len(gens)
+    ge = []
+    for i in range(k):
+        row = [F(0)] * k
+        row[i] = F(1)
+        ge.append((row, F(0)))
+        ge.append(([-v for v in row], F(-1)))
+    bounds = [(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens))
+              for c in range(n)]
+    candidates = []
+    for x in box_lattice_points(bounds):
+        # the zonotope lies in the cone: skip the LP for points outside it
+        if all(v == 0 for v in x) or not cone.contains(x):
+            continue
+        eq = [([F(g[c]) for g in gens], F(x[c])) for c in range(n)]
+        if lp.feasible_point(ge=ge, eq=eq) is not None:
+            candidates.append(x)
+    basis = []
+    for x in candidates:
+        if not any(y != x and cone.contains(tuple(a - b for a, b in zip(x, y)))
+                   for y in candidates):
+            basis.append(x)
     return tuple(sorted(basis))
 
 

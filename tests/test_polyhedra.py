@@ -213,6 +213,20 @@ def test_fan_from_cones_completes_faces():
     assert fan.index_of(ray) is not None
 
 
+def test_fan_face_indices_computed_once(monkeypatch):
+    fan = Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)], 2)])
+    top = len(fan) - 1
+    first = fan.face_indices(top)
+    assert first == tuple(range(len(fan)))
+
+    def refuse(self):
+        raise AssertionError("face lattice recomputed")
+
+    monkeypatch.setattr(Cone, "faces", refuse)
+    assert fan.face_indices(top) == first
+    assert Cone.zero(2) is Cone.zero(2)
+
+
 def test_fan_rejects_bad_collections():
     with pytest.raises(NotAFan):
         Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)], 2),

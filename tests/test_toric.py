@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from adictrop import linalg as la
+from adictrop import lp
 from adictrop.errors import NotAdmissible, NotPointed
 from adictrop.polyhedra import Cone, Fan, Polyhedron
 from adictrop.toric import (ExtendedPoint, closure_strata, dual_cone, extended_contains,
@@ -47,7 +50,7 @@ def test_double_dual_round_trip():
 # -- Hilbert bases ------------------------------------------------------------
 
 def test_hilbert_basis_needs_no_interior_point():
-    # [DERIVED] both rays already generate: zonotope holds no new irreducibles
+    # [DERIVED] det = 1: the fundamental parallelepiped holds no new irreducibles
     assert hilbert_basis(cone_of((0, 1), (1, 1))) == ((0, 1), (1, 1))
 
 
@@ -112,6 +115,66 @@ def test_hilbert_basis_generates():
                 continue
             assert _integer_generated(x, basis, c.contains), \
                 f"{x} not generated by {basis}"
+
+
+@st.composite
+def pointed_cones(draw):
+    """A pointed cone on 1-5 integer rays in Q^1..Q^3, and maybe a sublattice basis."""
+    n = draw(st.sampled_from([3, 2, 1]))
+    k = draw(st.integers(1, 5))
+    # half the time all rays lie over a polytope at positive height: pointed,
+    # and for n = 3 and k >= 4 mostly not simplicial
+    last = range(1, 4) if draw(st.booleans()) else range(-3, 4)
+    entry = st.sampled_from(range(-3, 4))
+    rays = draw(st.lists(st.tuples(*[entry] * (n - 1), st.sampled_from(last)),
+                         min_size=k, max_size=k))
+    cone = Cone.from_rays(rays, n)
+    assume(cone.is_pointed)
+    lattice = None
+    if draw(st.booleans()):
+        # lower triangular with diagonal 1 or 2: a sublattice of index 1..2^n
+        lattice = tuple(tuple(draw(st.integers(1, 2)) if j == i
+                              else draw(st.integers(-1, 1)) if j < i else 0
+                              for j in range(n)) for i in range(n))
+    return cone, lattice
+
+
+def _in_lattice_coordinates(cone, lattice):
+    """The cone {c : c . B in cone}, built from its rays x . B^-1."""
+    columns = list(zip(*lattice))
+    return Cone.from_rays([la.solve_exact(columns, r) for r in cone.rays], cone.ambient)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(pointed_cones())
+@example((cone_of((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), None))
+@example((cone_of((1, 0, 0), (1, 3, 0)), None))
+@example((cone_of((1, 0), (1, 2)), ((1, 0), (0, 2))))
+@example((cone_of((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((1, 0, 0), (1, 2, 0), (0, 0, 1))))
+def test_hilbert_basis_matches_zonotope_oracle(case):
+    cone, lattice = case
+    working = cone if lattice is None else _in_lattice_coordinates(cone, lattice)
+    # the oracle solves one LP per point of the zonotope's box inside the
+    # cone: cap their number to bound its cost
+    gens = working.rays
+    box = [(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens))
+           for c in range(working.ambient)]
+    assume(sum(1 for x in oracles.box_lattice_points(box) if working.contains(x)) <= 100)
+    assert hilbert_basis(cone, lattice=lattice) == oracles.hilbert_basis_zonotope(working)
+
+
+def test_hilbert_basis_solves_no_lp(monkeypatch):
+    # non-simplicial: the cone over the square |x| + |y| <= 2 at height 1,
+    # whose 13 lattice points are its Hilbert basis
+    cone = cone_of((2, 0, 1), (0, 2, 1), (-2, 0, 1), (0, -2, 1))
+    cone.rays
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hilbert_basis solved an LP")
+
+    monkeypatch.setattr(lp, "minimize", refuse)
+    assert hilbert_basis(cone) == tuple(sorted(
+        (x, y, 1) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2))
 
 
 # -- semigroups with lineality -------------------------------------------------
