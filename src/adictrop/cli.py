@@ -22,8 +22,8 @@ from .complexes import (adjacency_components, common_refinement, detect_accumula
 from .degeneration import (hypersurface_trop, initial_form, initial_form_on_stratum,
                            special_fiber_relations, tilted_algebra, trop_eval)
 from .errors import AdictropError, DomainError, MalformedInput, NotACover
-from .gubler import (adapted_to, build_skeleton, covers, skeleton_dot,
-                     skeleton_morphism)
+from .gubler import (_skeleton_of_cover, adapted_to, build_skeleton, covers,
+                     skeleton_dot, skeleton_morphism)
 from .parsing import parse_poly
 from .toric import ExtendedPoint, stratum_lattice
 
@@ -159,8 +159,8 @@ def _cmd_skeleton(args):
     if not decision.ok:
         return ({"cover": jio.decision_to_json(decision)},
                 NotACover("the complex does not cover the tropicalization"))
-    skeleton = build_skeleton(embedding, delta, args.denominator,
-                              args.validate_samples)
+    skeleton = _skeleton_of_cover(embedding, delta, args.denominator,
+                                  args.validate_samples)
     _write_dot(args, skeleton_dot(skeleton))
     return {"cover": jio.decision_to_json(decision),
             "skeleton": jio.skeleton_to_json(skeleton)}, None

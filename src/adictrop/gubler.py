@@ -270,6 +270,12 @@ def build_skeleton(embedding: EmbeddingData, delta: ExtendedComplex,
     decision = covers(delta, embedding)
     if not decision.ok:
         raise NotACover(f"complex misses the tropicalization at {decision.witness}")
+    return _skeleton_of_cover(embedding, delta, denominator, validate_samples)
+
+
+def _skeleton_of_cover(embedding: EmbeddingData, delta: ExtendedComplex,
+                       denominator: int, validate_samples: bool) -> GublerSkeleton:
+    """The charts of `build_skeleton` for a Δ already known to cover."""
     work = delta
     if embedding.principal:
         work = _subdivide_by_linearity(delta, embedding.generators[0])

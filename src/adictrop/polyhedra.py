@@ -7,6 +7,13 @@ integer normals and sorted deterministically.  Equal point sets therefore
 compare equal as Python objects, which is what makes set-level equality of
 complexes decidable by syntactic comparison downstream.
 
+Canonicalization solves no LP.  One double-description pass over the
+homogenization {(x, lam) : n . x >= b lam, lam >= 0} yields its generators:
+the polyhedron is empty iff no generator has lam > 0, an inequality is an
+implicit equality iff it is tight on every generator, and an irredundant
+inequality is one whose tight generators span a face of codimension one
+(Fukuda and Prodon, "Double description method revisited", 1996).
+
 Cones are polyhedra whose bounds are all zero; fans are finite collections
 of pointed cones closed under faces and intersecting in common faces.
 
@@ -154,6 +161,13 @@ def _dd_cone(normals: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVecto
     return lin_out, ray_out
 
 
+def _homogenized_dd(pairs: Iterable[HalfSpacePair], ambient: int):
+    """`_dd_cone` of {(x, lam) : n . x >= b lam for every (n, b), lam >= 0}."""
+    rows = {la.primitive(n + (-b,)) for n, b in pairs}
+    rows.add((0,) * ambient + (1,))
+    return _dd_cone(sorted(rows), ambient + 1)
+
+
 def _constraints(eqs: Sequence[HalfSpacePair], ineqs: Sequence[HalfSpacePair]):
     ge = [([Fraction(v) for v in n], b) for n, b in ineqs]
     eq = [([Fraction(v) for v in n], b) for n, b in eqs]
@@ -200,10 +214,16 @@ class Polyhedron:
     def from_halfspaces(cls, halfspaces: Iterable, ambient: int) -> "Polyhedron":
         """Canonicalize an H-representation.
 
-        Accepts HalfSpace objects or (normal, bound) pairs.  Detects
-        emptiness, extracts the affine hull (implicit equalities), reduces
-        the remaining inequalities modulo it, and removes redundancy by
-        exact LP.
+        Accepts HalfSpace objects or (normal, bound) pairs.  One `_dd_cone`
+        pass over the homogenization {(x, lam) : n . x - b lam >= 0,
+        lam >= 0} gives its lineality and extreme rays.  The polyhedron is
+        empty iff no ray has lam > 0.  A row is an implicit equality iff it
+        vanishes on every ray; the implicit equalities are reduced to RREF
+        and the other rows modulo them.  A reduced row is a facet iff the
+        rays it vanishes on, with the lineality, have rank one less than the
+        cone.  A row tight only on the face lam = 0 never passes: its normal
+        is constant on the affine hull, so the reduction has dropped it.
+        See Fukuda and Prodon, "Double description method revisited" (1996).
         """
         pairs: list[HalfSpacePair] = []
         try:
@@ -227,19 +247,16 @@ class Polyhedron:
                 best[n] = b
         pairs = sorted(best.items())
 
-        ge, _ = _constraints((), pairs)
-        if lp.feasible_point(ge=ge) is None:
+        lin, rays = _homogenized_dd(pairs, ambient)
+        if all(r[ambient] == 0 for r in rays):
             return cls._make_empty(ambient)
+        dim = len(lin) + la.rank(rays)
 
-        # implicit equalities: first try a single strictly-interior LP
-        eq_idx: list[int] = []
-        if pairs:
-            strict = [(c, b) for c, b in ge]
-            if lp.feasible_point(strict=strict) is None:
-                for i, (n, b) in enumerate(pairs):
-                    res = lp.maximize([Fraction(v) for v in n], ge=ge)
-                    if res.status == lp.OPTIMAL and res.value == b:
-                        eq_idx.append(i)
+        def tight(n, b):
+            return [r for r in rays if la.dot(n + (-b,), r) == 0]
+
+        # implicit equalities: tight on every ray (the lineality always is)
+        eq_idx = [i for i, (n, b) in enumerate(pairs) if len(tight(n, b)) == len(rays)]
 
         eq_rows = [tuple(Fraction(v) for v in pairs[i][0]) + (pairs[i][1],) for i in eq_idx]
         reduced_eq, pivots = la.rref(eq_rows)
@@ -266,15 +283,9 @@ class Polyhedron:
             if un not in ineqs or gn > ineqs[un]:
                 ineqs[un] = gn
 
-        # irredundancy by exact LP, fixed processing order
-        current = dict(sorted(ineqs.items()))
-        for key in sorted(ineqs):
-            others = [(n, b) for n, b in current.items() if n != key]
-            ge_o, eq_o = _constraints(equalities, others)
-            res = lp.minimize([Fraction(v) for v in key], ge=ge_o, eq=eq_o)
-            if res.status == lp.OPTIMAL and res.value >= current[key]:
-                del current[key]
-        facets = tuple(sorted(current.items()))
+        # facets: the tight rays and the lineality span a codimension-one face
+        facets = tuple((n, b) for n, b in sorted(ineqs.items())
+                       if len(lin) + la.rank(tight(n, b)) == dim - 1)
         return cls(ambient=ambient, is_empty=False, equalities=equalities, facets=facets)
 
     @classmethod
@@ -382,13 +393,10 @@ class Polyhedron:
             raise EmptyPolyhedron("empty polyhedron has no V-representation")
         if not self.is_pointed:
             raise NotPointed("V-representation requires a pointed polyhedron")
-        normals = [n + (-b,) for n, b in self.facets]
+        pairs = list(self.facets)
         for n, b in self.equalities:
-            normals.append(n + (-b,))
-            normals.append(tuple(-v for v in n) + (b,))
-        normals.append((0,) * self.ambient + (1,))
-        normals = [la.primitive(n) for n in normals]
-        lin, rays = _dd_cone(sorted(set(normals)), self.ambient + 1)
+            pairs += [(n, b), (tuple(-v for v in n), -b)]
+        lin, rays = _homogenized_dd(pairs, self.ambient)
         if lin:
             raise NotPointed("V-representation requires a pointed polyhedron")
         vertices = []

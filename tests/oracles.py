@@ -5,9 +5,11 @@ independently of the fast paths they check: direction tests evaluate raw
 input inequalities, hull membership solves the convex-combination system,
 semigroup generation enumerates a lattice box and minimalizes by
 reducibility, Hilbert bases test each point of the zonotope's bounding
-box by LP, and the corner locus is reconstructed from a grid scan.
-Only the exact LP core is shared with the library (it is unit-tested on
-its own).
+box by LP, canonical H-representations find implicit equalities and
+redundant inequalities by one LP each, and the corner locus is
+reconstructed from a grid scan.  Only the exact LP core, RREF and the
+normalization of single inequalities are shared with the library (they are
+unit-tested on their own).
 """
 
 from __future__ import annotations
@@ -16,11 +18,85 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from adictrop import linalg as la
 from adictrop import lp
+from adictrop.errors import EmptyPolyhedron
 from adictrop.linalg import dot, vec
-from adictrop.polyhedra import Polyhedron
+from adictrop.polyhedra import Polyhedron, _constraints, _normalize_pair
 
 F = Fraction
+
+
+def canonicalize_lp(halfspaces, ambient):
+    """Canonical (is_empty, equalities, facets) of {x : n . x >= b} by exact LP.
+
+    Normalizes each pair and keeps the strongest bound per normal, then:
+    one feasibility LP decides emptiness; if no point satisfies every
+    inequality strictly, each inequality whose maximum equals its bound is
+    an implicit equality; the equalities are reduced to RREF and the other
+    inequalities reduced modulo them; finally, in sorted order, an
+    inequality is dropped when its minimum over the remaining system
+    already meets its bound.
+    """
+    pairs = []
+    try:
+        for normal, bound in halfspaces:
+            p = _normalize_pair(normal, bound)
+            if p is not None:
+                pairs.append(p)
+    except EmptyPolyhedron:
+        return True, (), ()
+    best = {}
+    for n, b in pairs:
+        if n not in best or b > best[n]:
+            best[n] = b
+    pairs = sorted(best.items())
+
+    ge, _ = _constraints((), pairs)
+    if lp.feasible_point(ge=ge) is None:
+        return True, (), ()
+
+    eq_idx = []
+    if pairs:
+        strict = [(c, b) for c, b in ge]
+        if lp.feasible_point(strict=strict) is None:
+            for i, (n, b) in enumerate(pairs):
+                res = lp.maximize([F(v) for v in n], ge=ge)
+                if res.status == lp.OPTIMAL and res.value == b:
+                    eq_idx.append(i)
+
+    eq_rows = [tuple(F(v) for v in pairs[i][0]) + (pairs[i][1],) for i in eq_idx]
+    reduced_eq, pivots = la.rref(eq_rows)
+    equalities = tuple(sorted(
+        _normalize_pair(row[:ambient], row[ambient]) for row in reduced_eq))
+
+    ineqs = {}
+    eq_set = set(eq_idx)
+    for i, (n, b) in enumerate(pairs):
+        if i in eq_set:
+            continue
+        u = [F(v) for v in n]
+        g = b
+        for row, p in zip(reduced_eq, pivots):
+            if p < ambient and u[p] != 0:
+                c = u[p]
+                u = [x - c * y for x, y in zip(u, row[:ambient])]
+                g = g - c * row[ambient]
+        norm = _normalize_pair(u, g)
+        if norm is None:
+            continue
+        un, gn = norm
+        if un not in ineqs or gn > ineqs[un]:
+            ineqs[un] = gn
+
+    current = dict(sorted(ineqs.items()))
+    for key in sorted(ineqs):
+        others = [(n, b) for n, b in current.items() if n != key]
+        ge_o, eq_o = _constraints(equalities, others)
+        res = lp.minimize([F(v) for v in key], ge=ge_o, eq=eq_o)
+        if res.status == lp.OPTIMAL and res.value >= current[key]:
+            del current[key]
+    return False, equalities, tuple(sorted(current.items()))
 
 
 def recession_direction(raw_halfspaces, v) -> bool:

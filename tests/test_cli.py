@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import adictrop.cli as cli
+import adictrop.gubler as gubler
 import adictrop.jsonio as jio
 from adictrop.cli import main
 from adictrop.complexes import ExtendedComplex, Rank1Family
@@ -260,6 +262,31 @@ def test_skeleton_warns_on_asserted_basis(capsys, tmp_path):
                          "--complex", star_file(tmp_path))
     assert code == 0
     assert any("asserted" in w for w in out["warnings"])
+
+
+@pytest.mark.parametrize("covering", [True, False])
+def test_skeleton_checks_the_cover_once(capsys, tmp_path, monkeypatch, covering):
+    if covering:
+        complex_path = star_file(tmp_path)
+    else:
+        quadrant = Cone.from_rays([(1, 0), (0, 1)], 2).as_polyhedron()
+        complex_path = write(tmp_path, "partial.json", jio.complex_to_json(
+            ExtendedComplex.from_polyhedra(p2_fan(), [quadrant])))
+    argv = ["skeleton", "--embedding", embedding_file(tmp_path), "--complex", complex_path]
+    code = main(argv)
+    out = capsys.readouterr().out
+    calls = []
+    real = gubler.covers
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gubler, "covers", counting)
+    monkeypatch.setattr(cli, "covers", counting)
+    assert main(argv) == code == (0 if covering else 2)
+    assert capsys.readouterr().out == out
+    assert len(calls) == 1
 
 
 # -- adapt ---------------------------------------------------------------------

@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adictrop import lp
+from adictrop.degeneration import hypersurface_trop, tilted_algebra
 from adictrop.errors import EmptyPolyhedron, NotAFan, NotPointed
+from adictrop.parsing import parse_poly
 from adictrop.polyhedra import (Cone, Fan, HalfSpace, Polyhedron, face_of,
                                 is_admissible, recession_cone)
 
@@ -58,6 +63,86 @@ def test_affine_hull_extraction():
     assert p.equalities == (((1, 1), F(1)),)
     assert p.facets == (((0, 1), F(0)),)
     assert p.dim == 1
+
+
+@st.composite
+def halfspace_systems(draw):
+    """(ambient, rows): 0-9 rows in Q^1..Q^4 with entries in [-3, 3].
+
+    Bounds have denominators 1-3, or are all zero (a cone) a quarter of the
+    time.  A row may be followed by its negation (an equality pair) or by a
+    scaled and weakened copy of itself.
+    """
+    ambient = draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        bound = st.just(F(0))
+    else:
+        bound = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    count = draw(st.integers(0, 9))
+    rows = []
+    while len(rows) < count:
+        normal = draw(st.tuples(*[st.integers(-3, 3)] * ambient))
+        b = draw(bound)
+        rows.append((normal, b))
+        kind = draw(st.sampled_from(["plain", "plain", "pair", "scaled"]))
+        if kind == "pair" and len(rows) < count:
+            rows.append((tuple(-v for v in normal), -b))
+        elif kind == "scaled" and len(rows) < count:
+            k = draw(st.integers(2, 3))
+            rows.append((tuple(k * v for v in normal), k * b - draw(st.integers(0, 2))))
+    return ambient, rows
+
+
+def _canonical(rows, ambient):
+    p = _poly(rows, ambient)
+    return p.is_empty, p.equalities, p.facets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(halfspace_systems(), st.randoms(use_true_random=False))
+@example((2, [((1, 0), F(1)), ((-1, 0), F(0))]), random.Random(0))  # empty
+@example((2, [((1, 0), F(1)), ((-1, 0), F(-1)), ((0, 1), F(2)), ((0, -1), F(-2)),
+              ((1, 1), F(0))]), random.Random(0))  # the point (1, 2)
+@example((3, [((1, 0, 0), F(0)), ((-1, 0, 0), F(0)), ((0, 1, 0), F(1)),
+              ((0, -1, 0), F(-1))]), random.Random(0))  # a line, not pointed
+@example((3, [((0, 0, 1), F(1)), ((0, 0, -1), F(-1)), ((1, 0, 0), F(0)), ((0, 1, 0), F(0)),
+              ((-1, -1, 0), F(-1)), ((-1, -1, 1), F(-3))]), random.Random(0))  # a triangle in Q^3
+@example((2, []), random.Random(0))  # no rows: the whole plane
+def test_canonical_form_matches_lp_oracle(system, rng):
+    ambient, rows = system
+    expected = oracles.canonicalize_lp(rows, ambient)
+    assert _canonical(rows, ambient) == expected
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert _canonical(shuffled, ambient) == expected
+    scaled = [(tuple(k * v for v in n), k * b)
+              for n, b in rows for k in [rng.choice([F(1, 2), 1, 2, 3])]]
+    assert _canonical(scaled, ambient) == expected
+    if rows:
+        # a nonnegative combination of two rows, weakened: implied by the rest
+        (n1, b1), (n2, b2) = rng.choice(rows), rng.choice(rows)
+        implied = (tuple(x + 2 * y for x, y in zip(n1, n2)), b1 + 2 * b2 - rng.randint(0, 2))
+        assert _canonical(rows + [implied], ambient) == expected
+
+
+def test_canonicalization_solves_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonicalization solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    assert _poly([((1, 1), 1), ((-1, -1), 0)], 2).is_empty
+    segment = _poly([((1, 1), 1), ((-1, -1), -1), ((1, 0), 0), ((-1, 0), -1)], 2)
+    assert segment.equalities == (((1, 1), F(1)),) and segment.dim == 1
+    strip = _poly([((0, 1), 0), ((0, -1), -1), ((0, 2), -1)], 2)
+    assert strip.facets == (((0, -1), F(-1)), ((0, 1), F(0))) and not strip.is_pointed
+    square = _poly([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1), ((1, 1), -1)], 2)
+    assert len(square.facets) == 4 and square.dim == 2
+    cells = hypersurface_trop(parse_poly("x^2 + t*x*y + y^2 + t^2*x + 1"), ((-3, -3), (3, 3)))
+    assert sorted(c.dim for c in cells) == [0, 0, 0, 0, 1, 1, 1]
+    tri = Polyhedron.from_generators([(0, 0), (2, 0), (0, 1)], ambient=2)
+    assert tilted_algebra(tri, 1).generators == (
+        ((-1, -2), F(2)), ((0, -1), F(1)), ((0, 0), F(1)), ((0, 1), F(0)), ((1, 0), F(0)))
 
 
 def test_vrep_square():
