@@ -25,7 +25,7 @@ from . import lp
 from .errors import (FamilyNotSupported, MalformedInput, NotARefinement,
                      SupportMismatch)
 from .polyhedra import Cone, Fan, Polyhedron
-from .regions import covers, same_support
+from .regions import is_covered, same_support
 from .toric import ExtendedPoint, ExtendedPolyhedron, closure_strata, stratum_lattice
 
 Vector = tuple[Fraction, ...]
@@ -246,12 +246,8 @@ class ExtendedComplex:
         return None
 
     def maximal_face_indices(self) -> tuple[int, ...]:
-        parts = self.finite_parts
-        out = []
-        for i, p in enumerate(parts):
-            if not any(j != i and _subset(p, q) for j, q in enumerate(parts)):
-                out.append(i)
-        return tuple(out)
+        contained = {i for i, _ in containment_pairs(self.finite_parts)}
+        return tuple(i for i in range(len(self.faces)) if i not in contained)
 
     @property
     def is_finite(self) -> bool:
@@ -265,32 +261,17 @@ def _face_sort_key(p: Polyhedron):
     return (p.dim, p.equalities, p.facets)
 
 
-def _subset(p: Polyhedron, q: Polyhedron) -> bool:
-    """p ⊆ q via generators of p against halfspaces of q (pointed p)."""
-    if p.is_empty:
-        return True
-    rep = p.vrep()
-    for n, b in q.halfspace_pairs:
-        if any(la.dot(la.vec(n), v) < b for v in rep.vertices):
-            return False
-        if any(la.dot(la.vec(n), la.vec(r)) < 0 for r in rep.rays):
-            return False
-    return True
+def containment_pairs(parts: Sequence[Polyhedron]) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j), i != j, with parts[i] contained in parts[j]."""
+    return sorted((i, j) for j, q in enumerate(parts) for i, p in enumerate(parts)
+                  if i != j and q.contains_polyhedron(p))
 
 
-def _meets(p: Polyhedron, q: Polyhedron) -> bool:
-    """Nonempty intersection, by one feasibility LP (no canonicalization)."""
-    if p.is_empty or q.is_empty:
-        return False
-    ge, eq = [], []
-    for poly in (p, q):
-        for n, b in poly.facets:
-            ge.append(([Fraction(v) for v in n], b))
-        for n, b in poly.equalities:
-            eq.append(([Fraction(v) for v in n], b))
-    if not ge and not eq:
-        return True
-    return lp.feasible_point(ge=ge, eq=eq) is not None
+def covering_pairs(order: Iterable[tuple[int, int]], count: int) -> list[tuple[int, int]]:
+    """The pairs of a strict order on range(count) with no element between them."""
+    order = set(order)
+    return [(i, j) for i, j in sorted(order)
+            if not any((i, k) in order and (k, j) in order for k in range(count))]
 
 
 def _extended_meets(a: ExtendedPolyhedron, b: ExtendedPolyhedron) -> bool:
@@ -303,7 +284,7 @@ def _extended_meets(a: ExtendedPolyhedron, b: ExtendedPolyhedron) -> bool:
     strata_b = dict(b.strata)
     for idx, piece in a.strata:
         other = strata_b.get(idx)
-        if other is not None and _meets(piece, other):
+        if other is not None and not piece.intersection(other).is_empty:
             return True
     return False
 
@@ -360,9 +341,9 @@ def validate_complex(fan: Fan, polyhedra: Sequence[Polyhedron],
             q = polys[j]
             if q.is_empty or q.ambient != fan.ambient:
                 continue
-            if not _meets(p, q):
-                continue
             meet = p.intersection(q)
+            if meet.is_empty:
+                continue
             if not (meet.is_face_of(p) and meet.is_face_of(q)):
                 violations.append(Violation(
                     "non-face-intersection", (i, j),
@@ -382,7 +363,7 @@ def validate_complex(fan: Fan, polyhedra: Sequence[Polyhedron],
                 continue
             n = family.face_index_of(res.value)
             host = None if n is None else family.face_interval(n)
-            if host is None or not (_subset(p, host) and p.is_face_of(host)):
+            if host is None or not p.is_face_of(host):
                 violations.append(Violation(
                     "family-overlap", (i,),
                     f"face {i} meets the family chain but is not a face of one interval"))
@@ -435,7 +416,7 @@ def is_complete(delta: ExtendedComplex, fan: Fan | None = None) -> bool:
         else:
             pieces = [piece for f in delta.faces
                       for i, piece in f.strata if i == idx]
-        if not covers(Polyhedron.full_space(sl.quotient_rank), pieces):
+        if not is_covered(Polyhedron.full_space(sl.quotient_rank), pieces):
             return False
     return True
 
@@ -479,22 +460,15 @@ def common_refinement(*deltas: ExtendedComplex) -> ExtendedComplex:
     current = first_max
     for d in deltas[1:]:
         incoming = [d.finite_parts[i] for i in d.maximal_face_indices()]
-        cells = []
-        for p in current:
-            for q in incoming:
-                if _meets(p, q):
-                    cells.append(p.intersection(q))
-        current = _prune_to_maximal(cells)
+        cells = [p.intersection(q) for p in current for q in incoming]
+        current = _prune_to_maximal([c for c in cells if not c.is_empty])
     return ExtendedComplex.from_polyhedra(first.fan, current, close=True)
 
 
 def _prune_to_maximal(cells: Sequence[Polyhedron]) -> list[Polyhedron]:
-    unique = []
-    for c in cells:
-        if c not in unique:
-            unique.append(c)
-    return [c for c in unique
-            if not any(d != c and _subset(c, d) for d in unique)]
+    unique = list(dict.fromkeys(cells))
+    contained = {i for i, _ in containment_pairs(unique)}
+    return [c for i, c in enumerate(unique) if i not in contained]
 
 
 @dataclass(frozen=True)
@@ -535,7 +509,7 @@ def refinement_map(finer: ExtendedComplex, coarser: ExtendedComplex) -> Refineme
         if not candidates:
             raise NotARefinement(f"face {i} of the finer complex lies outside the coarser one")
         j = min(candidates, key=lambda j: targets[j].dim)
-        if not _subset(f, targets[j]):
+        if not targets[j].contains_polyhedron(f):
             raise NotARefinement(f"face {i} is not contained in a single face of the target")
         assignment.append(j)
     return RefinementMap(finer, coarser, tuple(assignment))
@@ -590,7 +564,7 @@ def is_union_of_faces(pieces: Sequence, delta: ExtendedComplex) -> ExtendedCompl
         raise FamilyNotSupported("subcomplex extraction requires a finite complex")
     targets = [p.finite_part if isinstance(p, ExtendedPolyhedron) else p.as_polyhedron()
                for p in pieces]
-    chosen = [i for i, p in enumerate(delta.finite_parts) if covers([p], targets)]
+    chosen = [i for i, p in enumerate(delta.finite_parts) if is_covered([p], targets)]
     chosen_max = _prune_to_maximal([delta.finite_parts[i] for i in chosen])
     if not same_support(chosen_max, list(targets)):
         return None

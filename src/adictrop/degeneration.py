@@ -323,6 +323,22 @@ def _argmin_cell(support, subset, extra, nvars) -> Polyhedron:
     return Polyhedron.from_halfspaces(halfspaces, nvars)
 
 
+def _argmin_regions(f: LaurentPoly, min_size: int, extra) -> list[Polyhedron]:
+    """Nonempty `_argmin_cell`s of every term subset of size >= min_size.
+
+    Subsets run by size, then lexicographically; a region reached by
+    several subsets is listed once per subset.
+    """
+    support = [(u, a.valuation) for u, a in f.terms]
+    cells = []
+    for size in range(min_size, len(support) + 1):
+        for subset in combinations(range(len(support)), size):
+            cell = _argmin_cell(support, subset, extra, f.nvars)
+            if not cell.is_empty:
+                cells.append(cell)
+    return cells
+
+
 def hypersurface_trop(f: LaurentPoly, box=None) -> tuple[Polyhedron, ...]:
     """Corner locus of min-plus evaluation: all w whose argmin has >= 2 terms.
 
@@ -331,16 +347,9 @@ def hypersurface_trop(f: LaurentPoly, box=None) -> tuple[Polyhedron, ...]:
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no corner locus")
-    support = [(u, a.valuation) for u, a in f.terms]
     extra = _box_halfspaces(box, f.nvars) if box is not None else []
-    cells: dict[Polyhedron, None] = {}
-    for size in range(2, len(support) + 1):
-        for subset in combinations(range(len(support)), size):
-            cell = _argmin_cell(support, subset, extra, f.nvars)
-            if not cell.is_empty:
-                cells[cell] = None
     closed: dict[Polyhedron, None] = {}
-    for cell in cells:
+    for cell in dict.fromkeys(_argmin_regions(f, 2, extra)):
         for face in cell.faces():
             closed[face.as_polyhedron()] = None
     return tuple(sorted(closed, key=_face_sort_key))
@@ -355,14 +364,7 @@ def linearity_complex(f: LaurentPoly, fan: Fan) -> ExtendedComplex:
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no linearity complex")
-    support = [(u, a.valuation) for u, a in f.terms]
-    cells = []
-    for size in range(1, len(support) + 1):
-        for subset in combinations(range(len(support)), size):
-            cell = _argmin_cell(support, subset, [], f.nvars)
-            if not cell.is_empty:
-                cells.append(cell)
-    return ExtendedComplex.from_polyhedra(fan, cells, close=True)
+    return ExtendedComplex.from_polyhedra(fan, _argmin_regions(f, 1, []), close=True)
 
 
 # -- tilted algebras -----------------------------------------------------------------

@@ -16,12 +16,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
-from .complexes import ExtendedComplex, RefinementMap, _subset, is_union_of_faces, refinement_map
-from .degeneration import (LaurentPoly, ResiduePoly, TiltedPresentation, _argmin_cell,
+from .complexes import (ExtendedComplex, RefinementMap, containment_pairs, covering_pairs,
+                        is_union_of_faces, refinement_map)
+from .degeneration import (LaurentPoly, ResiduePoly, TiltedPresentation, _argmin_regions,
                            _box_halfspaces, hypersurface_trop, initial_form,
                            initial_form_on_stratum, tilted_algebra)
 from .errors import (EmbeddingMismatch, ExponentOutsideSublattice, FamilyNotSupported,
@@ -240,14 +240,7 @@ def _subdivide_by_linearity(delta: ExtendedComplex, f: LaurentPoly) -> ExtendedC
     Always a refinement of `delta` with equal support (the regions cover
     the space); per-face constancy of the initial form follows.
     """
-    support = [(u, a.valuation) for u, a in f.terms]
-    n = f.nvars
-    cells = []
-    for size in range(1, len(support) + 1):
-        for subset in combinations(range(len(support)), size):
-            cell = _argmin_cell(support, subset, [], n)
-            if not cell.is_empty:
-                cells.append(cell)
+    cells = _argmin_regions(f, 1, [])
     pieces: dict[Polyhedron, None] = {}
     for face in delta.finite_parts:
         for cell in cells:
@@ -315,9 +308,7 @@ def _skeleton_of_cover(embedding: EmbeddingData, delta: ExtendedComplex,
             charts.append(Chart(i, stratum, piece, tilted_algebra(piece, denominator),
                                 sample, forms, evaluated, empty))
     charts.sort(key=lambda c: (c.face_index, c.stratum))
-    parts = work.finite_parts
-    gluing = tuple(sorted((i, j) for j, q in enumerate(parts)
-                          for i, p in enumerate(parts) if i != j and _subset(p, q)))
+    gluing = tuple(containment_pairs(work.finite_parts))
     return GublerSkeleton(embedding, denominator, work, tuple(charts), gluing)
 
 
@@ -573,9 +564,7 @@ def skeleton_dot(skeleton: GublerSkeleton) -> str:
         label = (f"P{c.face_index} dim {parts[c.face_index].dim} {mark} "
                  f"boundary={len(boundary)}")
         lines.append(f'  c{c.face_index} [label="{label}"];')
-    order = set(skeleton.gluing)
-    for i, j in sorted(order):
-        if not any((i, k) in order and (k, j) in order for k in range(len(parts))):
-            lines.append(f"  c{i} -> c{j};")
+    for i, j in covering_pairs(skeleton.gluing, len(parts)):
+        lines.append(f"  c{i} -> c{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import (FAMILY_NODE, ExtendedComplex, Rank1Family, RefinementMap,
-                        ValidationReport, Violation, _extended_meets)
+                        ValidationReport, Violation, _extended_meets, containment_pairs,
+                        covering_pairs)
 from .degeneration import (InitialIdeal, LaurentPoly, ResiduePoly,
                            SpecialFiberRelations, TiltedPresentation, ValuedCoeff)
 from .errors import MalformedInput
@@ -144,9 +145,8 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def _fan_incidence(fan: Fan) -> list[list[int]]:
-    return [[i for i, f in enumerate(fan.cones)
-             if i != j and c.contains_polyhedron(f)]
-            for j, c in enumerate(fan.cones)]
+    # in a fan, one cone lies inside another iff it is a face of it
+    return [[i for i in fan.face_indices(j) if i != j] for j in range(len(fan))]
 
 
 def fan_from_json(obj) -> Fan:
@@ -188,16 +188,10 @@ def family_from_json(obj) -> Rank1Family:
         [polyhedron_from_json(p) for p in obj.get("isolated", [])])
 
 
-def _incidence(delta: ExtendedComplex) -> list[tuple[int, int]]:
-    parts = delta.finite_parts
-    return sorted((i, j) for j, q in enumerate(parts) for i, p in enumerate(parts)
-                  if i != j and q.contains_polyhedron(p))
-
-
 def complex_to_json(delta: ExtendedComplex) -> dict:
     out = {"fan": fan_to_json(delta.fan),
            "faces": [polyhedron_to_json(p) for p in delta.finite_parts],
-           "incidence": [list(pair) for pair in _incidence(delta)]}
+           "incidence": [list(pair) for pair in containment_pairs(delta.finite_parts)]}
     if delta.family is not None:
         out["family"] = family_to_json(delta.family)
     return out
@@ -211,7 +205,7 @@ def complex_from_json(obj) -> ExtendedComplex:
         family = family_from_json(obj["family"])
     delta = ExtendedComplex.from_polyhedra(fan, faces, family=family)
     if "incidence" in obj:
-        _expect([list(p) for p in _incidence(delta)] == obj["incidence"],
+        _expect([list(p) for p in containment_pairs(delta.finite_parts)] == obj["incidence"],
                 "complex incidence does not match the listed faces")
     return delta
 
@@ -467,14 +461,11 @@ def _node(i: int) -> str:
 
 def faces_dot(parts: Sequence[Polyhedron]) -> str:
     """Containment poset of a cell list (covering relation)."""
-    order = {(i, j) for j, q in enumerate(parts) for i, p in enumerate(parts)
-             if i != j and q.contains_polyhedron(p)}
     lines = ["digraph faces {", "  rankdir=BT;"]
     for i, p in enumerate(parts):
         lines.append(f'  f{i} [label="P{i} dim {p.dim}"];')
-    for i, j in sorted(order):
-        if not any((i, k) in order and (k, j) in order for k in range(len(parts))):
-            lines.append(f"  f{i} -> f{j};")
+    for i, j in covering_pairs(containment_pairs(parts), len(parts)):
+        lines.append(f"  f{i} -> f{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -492,13 +483,10 @@ def morphism_dot(m: SkeletonMorphism) -> str:
         lines.append(f"  subgraph cluster_{name} {{")
         lines.append(f'    label="{name}";')
         parts = skeleton.complex.finite_parts
-        order = set(_incidence(skeleton.complex))
         for i, p in enumerate(parts):
             lines.append(f'    {prefix}{i} [label="P{i} dim {p.dim}"];')
-        for i, j in sorted(order):
-            if not any((i, k) in order and (k, j) in order
-                       for k in range(len(parts))):
-                lines.append(f"    {prefix}{i} -> {prefix}{j};")
+        for i, j in covering_pairs(containment_pairs(parts), len(parts)):
+            lines.append(f"    {prefix}{i} -> {prefix}{j};")
         lines.append("  }")
     for i, j in enumerate(m.refinement.assignment):
         lines.append(f"  s{i} -> t{j} [style=dashed];")

@@ -388,15 +388,21 @@ class Polyhedron:
     # -- geometry ------------------------------------------------------------
 
     @cached_property
+    def _generators(self) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
+        """`_homogenized_dd` of the canonical rows: (lineality, extreme rays).
+
+        Rays with lam > 0 are the vertices, rays with lam = 0 the recession
+        rays; the lineality has lam = 0 throughout.
+        """
+        return _homogenized_dd(self.halfspace_pairs, self.ambient)
+
+    @cached_property
     def _vrep(self) -> VRep:
         if self.is_empty:
             raise EmptyPolyhedron("empty polyhedron has no V-representation")
         if not self.is_pointed:
             raise NotPointed("V-representation requires a pointed polyhedron")
-        pairs = list(self.facets)
-        for n, b in self.equalities:
-            pairs += [(n, b), (tuple(-v for v in n), -b)]
-        lin, rays = _homogenized_dd(pairs, self.ambient)
+        lin, rays = self._generators
         if lin:
             raise NotPointed("V-representation requires a pointed polyhedron")
         vertices = []
@@ -467,17 +473,20 @@ class Polyhedron:
         return Polyhedron.from_halfspaces(shifted, self.ambient)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        """Exact containment other <= self, by LP on each halfspace."""
+        """Exact containment other <= self, read off other's generators.
+
+        Every extreme ray (x, lam) of other's homogenization satisfies each
+        row n . x - b lam >= 0 of self, and every lineality vector makes each
+        row vanish.  No LP; `other` may be non-pointed or lower-dimensional.
+        """
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        ge, eq = _constraints(other.equalities, other.facets)
-        for n, b in self.halfspace_pairs:
-            res = lp.minimize([Fraction(v) for v in n], ge=ge, eq=eq)
-            if res.status != lp.OPTIMAL or res.value < b:
-                return False
-        return True
+        lin, rays = other._generators
+        rows = [n + (-b,) for n, b in self.halfspace_pairs]
+        return (all(la.dot(row, l) == 0 for row in rows for l in lin)
+                and all(la.dot(row, r) >= 0 for row in rows for r in rays))
 
     def faces(self) -> tuple["Polyhedron", ...]:
         """All nonempty faces, self included, in canonical order."""

@@ -82,10 +82,10 @@ def uncovered_witness(base: Polyhedron | Sequence[Polyhedron],
     return None
 
 
-def covers(base: Polyhedron | Sequence[Polyhedron], cover: Sequence[Polyhedron]) -> bool:
+def is_covered(base: Polyhedron | Sequence[Polyhedron], cover: Sequence[Polyhedron]) -> bool:
     return uncovered_witness(base, cover) is None
 
 
 def same_support(a: Sequence[Polyhedron], b: Sequence[Polyhedron]) -> bool:
     """Do two finite unions of polyhedra coincide as sets?"""
-    return covers(a, list(b)) and covers(b, list(a))
+    return is_covered(a, list(b)) and is_covered(b, list(a))

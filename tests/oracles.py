@@ -6,8 +6,10 @@ input inequalities, hull membership solves the convex-combination system,
 semigroup generation enumerates a lattice box and minimalizes by
 reducibility, Hilbert bases test each point of the zonotope's bounding
 box by LP, canonical H-representations find implicit equalities and
-redundant inequalities by one LP each, and the corner locus is
-reconstructed from a grid scan.  Only the exact LP core, RREF and the
+redundant inequalities by one LP each, containment minimizes each
+halfspace of the container by LP, a nonempty intersection is one
+feasibility LP, and the corner locus is reconstructed from a grid scan.
+Only the exact LP core, RREF and the
 normalization of single inequalities are shared with the library (they are
 unit-tested on their own).
 """
@@ -97,6 +99,35 @@ def canonicalize_lp(halfspaces, ambient):
         if res.status == lp.OPTIMAL and res.value >= current[key]:
             del current[key]
     return False, equalities, tuple(sorted(current.items()))
+
+
+def contains_lp(p: Polyhedron, q: Polyhedron) -> bool:
+    """Exact containment q <= p, by LP on each halfspace of p."""
+    if q.is_empty:
+        return True
+    if p.is_empty:
+        return False
+    ge, eq = _constraints(q.equalities, q.facets)
+    for n, b in p.halfspace_pairs:
+        res = lp.minimize([F(v) for v in n], ge=ge, eq=eq)
+        if res.status != lp.OPTIMAL or res.value < b:
+            return False
+    return True
+
+
+def meets_lp(p: Polyhedron, q: Polyhedron) -> bool:
+    """Nonempty intersection, by one feasibility LP (no canonicalization)."""
+    if p.is_empty or q.is_empty:
+        return False
+    ge, eq = [], []
+    for poly in (p, q):
+        for n, b in poly.facets:
+            ge.append(([F(v) for v in n], b))
+        for n, b in poly.equalities:
+            eq.append(([F(v) for v in n], b))
+    if not ge and not eq:
+        return True
+    return lp.feasible_point(ge=ge, eq=eq) is not None
 
 
 def recession_direction(raw_halfspaces, v) -> bool:

@@ -1,10 +1,13 @@
 """Skeleton charts, cover checks, refinement morphisms, strata enumeration."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from adictrop.complexes import ExtendedComplex
+from adictrop import jsonio as jio
+from adictrop import lp
+from adictrop.complexes import ExtendedComplex, refinement_map
 from adictrop.degeneration import LaurentPoly, ResiduePoly, ValuedCoeff, trop_eval
 from adictrop.errors import (DenominatorMismatch, EmbeddingMismatch,
                              ExponentOutsideSublattice, NotACover, NotARefinement,
@@ -388,3 +391,22 @@ def test_skeleton_dot_deterministic():
     assert dot == skeleton_dot(line_skeleton())
     assert dot.count("->") == 9  # covering relation: 3 origin->ray, 6 ray->sector
     assert 'empty' in dot and 'forms=1' in dot
+
+
+def test_containment_solves_no_lp(monkeypatch):
+    skeleton = line_skeleton()  # its cover check is exact complementation, by LP
+    star = (Path(__file__).resolve().parent.parent / "demos" / "data"
+            / "star_complex.json").read_text()
+    finer, coarser = line_complex(0, 1), line_complex(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a containment or meet test solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    assert len(p2_fan()) == 7
+    delta = jio.complex_from_json(jio.loads(star))  # checks the listed incidence
+    assert delta.maximal_face_indices() == (4, 5, 6)
+    assert jio.faces_dot(delta.finite_parts).count("->") == 9
+    assert refinement_map(finer, coarser).assignment == (0, 2, 2, 1, 2)
+    assert skeleton_dot(skeleton).count("->") == 9

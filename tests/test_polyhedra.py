@@ -356,6 +356,57 @@ def test_intersection_and_translate():
     assert not moved.contains((F(1, 2), F(0)))
 
 
+@st.composite
+def polyhedron_pairs(draw):
+    """(p, q) in Q^1..Q^3, each from at most 5 rows with entries in [-2, 2].
+
+    p is drawn on its own, as q cut by up to 3 more rows (p = q ∩ r), as q
+    with one of its facets made tight, or empty.  Few rows leave many of
+    them non-pointed, and equality pairs make them lower-dimensional.
+    """
+    ambient = draw(st.integers(1, 3))
+
+    def rows(most):
+        out = []
+        for _ in range(draw(st.integers(0, most))):
+            normal = draw(st.tuples(*[st.integers(-2, 2)] * ambient))
+            b = draw(st.builds(F, st.integers(-4, 4), st.integers(1, 2)))
+            out.append((normal, b))
+            if draw(st.integers(0, 3)) == 0:
+                out.append((tuple(-v for v in normal), -b))
+        return out
+
+    q = _poly(rows(5), ambient)
+    kind = draw(st.sampled_from(["other", "meet", "face", "empty"]))
+    if kind == "other":
+        p = _poly(rows(5), ambient)
+    elif kind == "meet":
+        p = q.intersection(_poly(rows(3), ambient))
+    elif kind == "face" and q.facets:
+        n, b = draw(st.sampled_from(q.facets))
+        p = _poly(q.halfspace_pairs + ((tuple(-v for v in n), -b),), ambient)
+    else:
+        p = Polyhedron.empty(ambient)
+    return p, q
+
+
+_PLANE = _poly([((1, 0, 0), 0), ((-1, 0, 0), 0)], 3)  # x = 0 in Q^3
+_LINE = _PLANE.intersection(_poly([((0, 1, 0), 1), ((0, -1, 0), -1)], 3))  # and y = 1
+_SQUARE = _poly([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)], 2)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(polyhedron_pairs())
+@example((_LINE, _PLANE))  # a line in a plane
+@example((Polyhedron.single_point((1, F(1, 2))), _SQUARE))  # a point on a facet
+@example((Polyhedron.single_point((F(3, 2), F(1, 2))), _SQUARE))  # a point outside
+def test_containment_and_meet_match_lp_oracles(pair):
+    p, q = pair
+    assert q.contains_polyhedron(p) == oracles.contains_lp(q, p)
+    assert p.contains_polyhedron(q) == oracles.contains_lp(p, q)
+    assert (not p.intersection(q).is_empty) == oracles.meets_lp(p, q)
+
+
 def test_determinism_of_construction():
     pairs = [((1, 2), F(1, 3)), ((-1, 1), -2), ((0, -1), -5)]
     first = _poly(pairs, 2)

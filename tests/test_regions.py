@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from adictrop.polyhedra import Polyhedron
-from adictrop.regions import Cell, covers, same_support, subtract_polyhedron, uncovered_witness
+from adictrop.regions import Cell, is_covered, same_support, subtract_polyhedron, uncovered_witness
 
 
 def box(lo, hi, ambient=None):
@@ -27,7 +27,7 @@ def test_square_covered_by_diagonal_halves():
         [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((1, -1), 0)], 2)
     upper = Polyhedron.from_halfspaces(
         [((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, 1), 0)], 2)
-    assert covers(base, [lower, upper])
+    assert is_covered(base, [lower, upper])
 
 
 def test_missing_piece_yields_witness():
@@ -52,18 +52,18 @@ def test_interval_subtraction_leaves_open_gaps():
         assert not middle.contains(p)
     # the interval endpoints themselves stay covered by the closed remainder?
     # no: subtraction is strict, so 1 and 2 belong to `middle` only
-    assert covers(base, [box([0], [1]), middle, box([2], [3])])
-    assert not covers(base, [box([0], [1]), box([2], [3])])
+    assert is_covered(base, [box([0], [1]), middle, box([2], [3])])
+    assert not is_covered(base, [box([0], [1]), box([2], [3])])
 
 
 def test_overlapping_cover_is_fine():
     base = box([0], [3])
-    assert covers(base, [box([0], [2]), box([1], [3])])
+    assert is_covered(base, [box([0], [2]), box([1], [3])])
 
 
 def test_lower_dimensional_base():
     seg = Polyhedron.from_generators([(0, 0), (2, 0)])
-    assert covers(seg, [Polyhedron.from_generators([(0, 0), (1, 0)]),
+    assert is_covered(seg, [Polyhedron.from_generators([(0, 0), (1, 0)]),
                         Polyhedron.from_generators([(1, 0), (2, 0)])])
     w = uncovered_witness(seg, [Polyhedron.from_generators([(0, 0), (1, 0)])])
     assert w is not None and seg.contains(w) and w[0] > 1
@@ -75,8 +75,8 @@ def test_whole_plane_needs_unbounded_cover():
              halfplane((-1, 0), 0).intersection(halfplane((0, 1), 0)),
              halfplane((1, 0), 0).intersection(halfplane((0, -1), 0)),
              halfplane((-1, 0), 0).intersection(halfplane((0, -1), 0))]
-    assert covers(plane, quads)
-    assert not covers(plane, quads[:3])
+    assert is_covered(plane, quads)
+    assert not is_covered(plane, quads[:3])
 
 
 def test_same_support():
