@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
-from . import lp
 from .complexes import ExtendedComplex, _face_sort_key
 from .errors import (DenominatorMismatch, ExponentOutsideSublattice, NonRationalPoint,
                      NotAdmissible, UnverifiedBasis, ZeroPolynomial)

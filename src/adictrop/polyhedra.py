@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import linalg as la
@@ -435,8 +436,9 @@ class Polyhedron:
         """Deterministic rational point in the relative interior.
 
         Pointed case: vertex barycenter plus the sum of the primitive rays.
-        Non-pointed polyhedra (internal complement cells only) fall back to
-        a strictly-interior LP.
+        Non-pointed case: the exact LP point strictly inside every facet.
+        Unboxed `hypersurface_trop` cells and skeleton chart pieces can be
+        non-pointed, so this point can reach output (chart samples).
         """
         if self.is_empty:
             raise EmptyPolyhedron("empty polyhedron has no relative interior")
@@ -660,13 +662,30 @@ class Fan:
         return cls.from_cones([Cone.from_rays((), ambient)], ambient)
 
     def validate(self) -> None:
-        for i, c in enumerate(self.cones):
-            for j in range(i + 1, len(self.cones)):
-                meet = Cone.of(c.intersection(self.cones[j]))
-                if meet not in self._index:
-                    raise NotAFan(f"intersection of cones {i} and {j} is not in the fan")
-                if not (meet.is_face_of(c) and meet.is_face_of(self.cones[j])):
-                    raise NotAFan(f"cones {i} and {j} do not meet in a common face")
+        """Raise NotAFan unless the cones are closed under faces and meet in faces.
+
+        Pairs of maximal cones suffice: if every face of a maximal cone is
+        in the fan and any two maximal cones M, N meet in a common face F,
+        then a face of M and a face of N meet in a face of F.  The maximal
+        cones are those that are no face of a later cone (`from_cones` orders
+        cones by dimension; in any order they carry every cone among their
+        faces), and a face missing from the fan raises in `face_indices`.
+        The meet of two maximal cones is looked up in `_index`, and its index
+        in both cones' `face_indices`.  The message names the first failing
+        pair of maximal cones in index order.
+        """
+        maximal: list[int] = []
+        below: set[int] = set()
+        for k in reversed(range(len(self.cones))):
+            if k not in below:
+                maximal.append(k)
+                below.update(self.face_indices(k))
+        for k, l in combinations(reversed(maximal), 2):
+            m = self._index.get(Cone.of(self.cones[k].intersection(self.cones[l])))
+            if m is None:
+                raise NotAFan(f"intersection of cones {k} and {l} is not in the fan")
+            if m not in self.face_indices(k) or m not in self.face_indices(l):
+                raise NotAFan(f"cones {k} and {l} do not meet in a common face")
 
     def index_of(self, cone: Polyhedron) -> int | None:
         return self._index.get(Cone.of(cone))
@@ -677,7 +696,8 @@ class Fan:
             out = []
             for f in self.cones[index].faces():
                 i = self.index_of(f)
-                assert i is not None
+                if i is None:
+                    raise NotAFan(f"a face of cone {index} is not in the fan")
                 out.append(i)
             self._faces[index] = tuple(sorted(out))
         return self._faces[index]

@@ -3,18 +3,22 @@
 Coverage and complement questions ("is the union of these faces all of
 Q^n?", "does this face lie inside that union?") are decided by recursive
 complement computation over cells with mixed strict/non-strict
-constraints, never by sampling.  Emptiness of a cell is an exact LP
-feasibility question.
+constraints, never by sampling.  Emptiness of a cell is read off one
+double-description pass over its rows, strict rows taken as closed: the
+cell is empty iff that closure is, or a strict row vanishes on all of it
+(Fukuda and Prodon, "Double description method revisited", 1996).  An LP
+runs only to produce the witness point of an uncovered cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from . import linalg as la
 from . import lp
-from .polyhedra import HalfSpacePair, Polyhedron
+from .polyhedra import HalfSpacePair, Polyhedron, _homogenized_dd
 
 Vector = tuple[Fraction, ...]
 
@@ -27,11 +31,30 @@ class Cell:
     closed: tuple[HalfSpacePair, ...]
     strict: tuple[HalfSpacePair, ...]
 
+    @property
+    def is_empty(self) -> bool:
+        """Exact emptiness, by one DD pass and no LP.
+
+        The closure K (strict rows taken as closed) is empty iff no extreme
+        ray of its homogenization has lam > 0.  Otherwise the cell is empty
+        iff some strict row is an implicit equality of K, that is, vanishes
+        on every ray and every lineality vector: a relative-interior point of
+        K satisfies every other row strictly.
+        """
+        if self.ambient == 0:
+            return not (all(0 >= b for _, b in self.closed)
+                        and all(0 > b for _, b in self.strict))
+        if not self.closed and not self.strict:
+            return False
+        lin, rays = _homogenized_dd(self.closed + self.strict, self.ambient)
+        if all(r[self.ambient] == 0 for r in rays):
+            return True
+        gens = lin + rays
+        return any(all(la.dot(n + (-b,), g) == 0 for g in gens) for n, b in self.strict)
+
     def feasible_point(self) -> Vector | None:
         if self.ambient == 0:
-            ok = (all(0 >= b for _, b in self.closed)
-                  and all(0 > b for _, b in self.strict))
-            return () if ok else None
+            return None if self.is_empty else ()
         ge = [([Fraction(v) for v in n], b) for n, b in self.closed]
         st = [([Fraction(v) for v in n], b) for n, b in self.strict]
         if not ge and not st:
@@ -40,23 +63,43 @@ class Cell:
 
 
 def subtract_polyhedron(cells: Iterable[Cell], poly: Polyhedron) -> list[Cell]:
-    """Cells covering (union of cells) minus poly, infeasible pieces pruned.
+    """Cells covering (union of cells) minus poly, empty pieces pruned.
 
     cell \\ {all u.x >= b} splits along the first violated inequality:
     the j-th piece keeps inequalities before j and opens the j-th.
     """
     out: list[Cell] = []
     if poly.is_empty:
-        return [c for c in cells if c.feasible_point() is not None]
+        return [c for c in cells if not c.is_empty]
     pairs = poly.halfspace_pairs
     for cell in cells:
         for j, (n, b) in enumerate(pairs):
             piece = Cell(cell.ambient,
                          cell.closed + pairs[:j],
                          cell.strict + ((tuple(-v for v in n), -b),))
-            if piece.feasible_point() is not None:
+            if not piece.is_empty:
                 out.append(piece)
     return out
+
+
+def _uncovered_cells(base: Polyhedron | Sequence[Polyhedron],
+                     cover: Sequence[Polyhedron]) -> Iterator[Cell]:
+    """Nonempty cells of base minus the cover, base by base, in order.
+
+    A base that one cover member contains leaves no cell, so it is skipped
+    before any subtraction.
+    """
+    if isinstance(base, Polyhedron):
+        base = [base]
+    for b in base:
+        if b.is_empty or any(p.contains_polyhedron(b) for p in cover):
+            continue
+        cells = [Cell(b.ambient, b.halfspace_pairs, ())]
+        for p in cover:
+            cells = subtract_polyhedron(cells, p)
+            if not cells:
+                break
+        yield from cells
 
 
 def uncovered_witness(base: Polyhedron | Sequence[Polyhedron],
@@ -64,26 +107,14 @@ def uncovered_witness(base: Polyhedron | Sequence[Polyhedron],
     """A rational point of `base` outside every member of `cover`, or None.
 
     `base` may be a polyhedron (e.g. the whole space) or a finite union.
+    The point is the LP point of the first uncovered cell.
     """
-    if isinstance(base, Polyhedron):
-        base = [base]
-    for b in base:
-        if b.is_empty:
-            continue
-        cells = [Cell(b.ambient, b.halfspace_pairs, ())]
-        for p in cover:
-            cells = subtract_polyhedron(cells, p)
-            if not cells:
-                break
-        for cell in cells:
-            pt = cell.feasible_point()
-            if pt is not None:
-                return pt
-    return None
+    cell = next(_uncovered_cells(base, cover), None)
+    return None if cell is None else cell.feasible_point()
 
 
 def is_covered(base: Polyhedron | Sequence[Polyhedron], cover: Sequence[Polyhedron]) -> bool:
-    return uncovered_witness(base, cover) is None
+    return next(_uncovered_cells(base, cover), None) is None
 
 
 def same_support(a: Sequence[Polyhedron], b: Sequence[Polyhedron]) -> bool:

@@ -8,7 +8,8 @@ reducibility, Hilbert bases test each point of the zonotope's bounding
 box by LP, canonical H-representations find implicit equalities and
 redundant inequalities by one LP each, containment minimizes each
 halfspace of the container by LP, a nonempty intersection is one
-feasibility LP, and the corner locus is reconstructed from a grid scan.
+feasibility LP, a cell with strict rows is empty iff its strict-feasibility
+LP fails, and the corner locus is reconstructed from a grid scan.
 Only the exact LP core, RREF and the
 normalization of single inequalities are shared with the library (they are
 unit-tested on their own).
@@ -296,3 +297,15 @@ def grid_corner_locus(terms, box, step: Fraction):
         for f in hull.faces():
             faces.add(f)
     return tuple(sorted(faces, key=lambda p: (p.dim, p.equalities, p.facets)))
+
+
+def cell_is_empty_lp(cell) -> bool:
+    """Is the `regions.Cell` {closed rows >=, strict rows >} empty?  One strict LP."""
+    if cell.ambient == 0:
+        return not (all(0 >= b for _, b in cell.closed)
+                    and all(0 > b for _, b in cell.strict))
+    ge = [([F(v) for v in n], b) for n, b in cell.closed]
+    st = [([F(v) for v in n], b) for n, b in cell.strict]
+    if not ge and not st:
+        return False
+    return lp.feasible_point(ge=ge, strict=st) is None

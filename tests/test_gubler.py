@@ -394,7 +394,6 @@ def test_skeleton_dot_deterministic():
 
 
 def test_containment_solves_no_lp(monkeypatch):
-    skeleton = line_skeleton()  # its cover check is exact complementation, by LP
     star = (Path(__file__).resolve().parent.parent / "demos" / "data"
             / "star_complex.json").read_text()
     finer, coarser = line_complex(0, 1), line_complex(0)
@@ -405,6 +404,7 @@ def test_containment_solves_no_lp(monkeypatch):
     for name in ("minimize", "maximize", "feasible_point"):
         monkeypatch.setattr(lp, name, refuse)
     assert len(p2_fan()) == 7
+    skeleton = line_skeleton()  # the cover check included
     delta = jio.complex_from_json(jio.loads(star))  # checks the listed incidence
     assert delta.maximal_face_indices() == (4, 5, 6)
     assert jio.faces_dot(delta.finite_parts).count("->") == 9

@@ -320,6 +320,27 @@ def test_fan_rejects_bad_collections():
         Fan.from_cones([Cone.from_halfspaces([((1, 0), 0)], 2)])  # not pointed
 
 
+def test_fan_error_names_the_failing_maximal_pair():
+    # Cone 2, the ray (1, 1), is a face of cone 5 = cone((1, 1), (-1, 1)) and lies
+    # inside cone 6, the positive quadrant, without being a face of it.  Only the
+    # maximal cones 5 and 6 are paired; their meet, cone((1, 1), (0, 1)), is no cone.
+    with pytest.raises(NotAFan, match=r"^intersection of cones 5 and 6 is not in the fan$"):
+        Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)], 2),
+                        Cone.from_rays([(1, 1), (-1, 1)], 2)])
+    # Here the ray (1, 1), cone 2, is maximal; it meets the quadrant in itself.
+    with pytest.raises(NotAFan, match=r"^cones 2 and 4 do not meet in a common face$"):
+        Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)], 2), Cone.from_rays([(1, 1)], 2)])
+
+
+def test_fan_not_closed_under_faces():
+    quadrant = Cone.from_rays([(1, 0), (0, 1)], 2)
+    fan = Fan(2, (Cone.zero(2), quadrant))  # the two rays are missing
+    with pytest.raises(NotAFan):
+        fan.validate()
+    with pytest.raises(NotAFan):
+        fan.face_indices(1)
+
+
 def test_is_admissible():
     fan = Fan.from_cones([Cone.from_rays([(1,)], 1)])  # {0} and the ray
     ray_shifted = _poly([((1,), 1)], 1)

@@ -1,7 +1,16 @@
 from fractions import Fraction
 
-from adictrop.polyhedra import Polyhedron
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from adictrop import lp
+from adictrop.complexes import ExtendedComplex, common_refinement
+from adictrop.polyhedra import Cone, Fan, Polyhedron
 from adictrop.regions import Cell, is_covered, same_support, subtract_polyhedron, uncovered_witness
+
+import oracles
+
+F = Fraction
 
 
 def box(lo, hi, ambient=None):
@@ -91,3 +100,62 @@ def test_empty_subtrahend_is_noop():
     base = box([0], [1])
     cells = [Cell(1, base.halfspace_pairs, ())]
     assert len(subtract_polyhedron(cells, Polyhedron.empty(1))) == 1
+
+
+@st.composite
+def cells(draw):
+    """Cells with closed and strict rows: often empty, lower-dimensional or not pointed."""
+    ambient = draw(st.integers(0, 3))
+    normal = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient).map(tuple)
+    if ambient:
+        normal = normal.filter(any)
+    bound = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2]))
+    row = st.tuples(normal, bound)
+    closed = draw(st.lists(row, max_size=5))
+    strict = draw(st.lists(row, max_size=3))
+    if closed and draw(st.booleans()):
+        # an equality: the cell is at most a hyperplane section
+        n, b = closed[draw(st.integers(0, len(closed) - 1))]
+        closed.append((tuple(-v for v in n), -b))
+        if draw(st.booleans()):
+            strict.append((n, b))  # a strict row along that hyperplane
+    return Cell(ambient, tuple(closed), tuple(strict))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cells())
+@example(Cell(0, (((), F(0)),), ()))
+@example(Cell(0, (), (((), F(0)),)))
+@example(Cell(2, (), ()))
+@example(Cell(2, (((1, 0), F(0)), ((-1, 0), F(0))), (((0, 1), F(0)),)))  # open half-line
+@example(Cell(2, (((1, 0), F(0)), ((-1, 0), F(0))), (((1, 0), F(0)),)))  # strict on its line
+@example(Cell(1, (((1,), F(1)),), (((-1,), F(-1)),)))  # x >= 1 and x < 1
+def test_dd_emptiness_matches_lp_oracle(cell):
+    assert cell.is_empty == oracles.cell_is_empty_lp(cell)
+
+
+def test_cover_checks_solve_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cover check solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    base = box([0, 0], [1, 1])
+    lower = Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((1, -1), 0)], 2)
+    upper = Polyhedron.from_halfspaces([((1, 0), 0), ((0, -1), -1), ((-1, 1), 0)], 2)
+    assert is_covered(base, [lower, upper])
+    plane = Polyhedron.full_space(2)
+    quads = [halfplane((sx, 0), 0).intersection(halfplane((0, sy), 0))
+             for sx in (1, -1) for sy in (1, -1)]
+    assert is_covered(plane, quads)
+    assert not is_covered(plane, quads[:3])  # a refusal without its witness
+    assert same_support([box([0], [1]), box([1], [2])], [box([0], [2])])
+    rows = [box([0, 0], [2, 1]), box([0, 1], [2, 2])]
+    cols = [box([0, 0], [1, 2]), box([1, 0], [2, 2])]
+    a = ExtendedComplex.from_polyhedra(Fan.trivial(2), rows)
+    b = ExtendedComplex.from_polyhedra(Fan.trivial(2), cols)
+    assert len(common_refinement(a, b).maximal_face_indices()) == 4
+    p2 = Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)], 2),
+                         Cone.from_rays([(0, 1), (-1, -1)], 2),
+                         Cone.from_rays([(-1, -1), (1, 0)], 2)])
+    assert len(p2) == 7
