@@ -30,8 +30,7 @@ from .gubler import (Chart, CoverDecision, EmbeddingData, FaceArrow, GublerSkele
                      tropicalization_pieces)
 from .parsing import parse_poly
 from .polyhedra import (AdmissibilityResult, Cone, Fan, HalfSpace, Polyhedron,
-                        VRep, face_of, is_admissible, recession_cone,
-                        relative_interior_point)
+                        VRep, face_of, is_admissible, recession_cone)
 from .toric import (ExtendedPoint, ExtendedPolyhedron, SemigroupGenerators,
                     StratumLattice, closure_strata, dual_cone, extended_contains,
                     hilbert_basis, semigroup_generators, stratum_lattice)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg as la
-from . import lp
 from .errors import (FamilyNotSupported, MalformedInput, NotARefinement,
                      SupportMismatch)
 from .polyhedra import Cone, Fan, Polyhedron
@@ -47,6 +46,23 @@ def _signed(sign: str | None, text: str | None) -> Fraction:
         return Fraction(0)
     value = Fraction(text)
     return -value if sign == "-" else value
+
+
+def _bounds_1d(p: Polyhedron) -> tuple[Fraction | None, Fraction | None]:
+    """(min, max) of x on a rank-1 polyhedron, None where unbounded or empty.
+
+    Read off the canonical rows: an equality ((1,), b) is the point b, a
+    facet ((1,), lo) says x >= lo and a facet ((-1,), -hi) says x <= hi.
+    """
+    lo = hi = None
+    for _, b in p.equalities:
+        lo = hi = b
+    for (n,), b in p.facets:
+        if n > 0:
+            lo = b
+        else:
+            hi = -b
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -184,10 +200,7 @@ class Rank1Family:
         if p.is_empty:
             return False
         lo, locl, hi, hicl = self.union_bounds()
-        res = p.minimize([Fraction(1)])
-        plo = None if res.status == lp.UNBOUNDED else res.value
-        res = p.maximize([Fraction(1)])
-        phi = None if res.status == lp.UNBOUNDED else res.value
+        plo, phi = _bounds_1d(p)
         if phi is not None and (phi < lo or (phi == lo and not locl)):
             return False
         if plo is not None and (plo > hi or (plo == hi and not hicl)):
@@ -356,12 +369,12 @@ def validate_complex(fan: Fan, polyhedra: Sequence[Polyhedron],
         for i, p in enumerate(polys):
             if p.ambient != 1 or p.is_empty or not family.meets(p):
                 continue
-            res = p.maximize([Fraction(1)])
-            if res.status != lp.OPTIMAL:
+            _, top = _bounds_1d(p)
+            if top is None:
                 violations.append(Violation("family-overlap", (i,),
                                             f"face {i} is unbounded across the family"))
                 continue
-            n = family.face_index_of(res.value)
+            n = family.face_index_of(top)
             host = None if n is None else family.face_interval(n)
             if host is None or not p.is_face_of(host):
                 violations.append(Violation(

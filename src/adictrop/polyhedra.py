@@ -12,7 +12,10 @@ homogenization {(x, lam) : n . x >= b lam, lam >= 0} yields its generators:
 the polyhedron is empty iff no generator has lam > 0, an inequality is an
 implicit equality iff it is tight on every generator, and an irredundant
 inequality is one whose tight generators span a face of codimension one
-(Fukuda and Prodon, "Double description method revisited", 1996).
+(Fukuda and Prodon, "Double description method revisited", 1996).  The
+pass is kept as the new object's generators, and every later question that
+needs them (vertices, rays, a cone's generator description, containment,
+the face relation) reads them instead of running it again.
 
 Cones are polyhedra whose bounds are all zero; fans are finite collections
 of pointed cones closed under faces and intersecting in common faces.
@@ -197,9 +200,14 @@ class Polyhedron:
 
     def as_polyhedron(self) -> "Polyhedron":
         """The same point set as a plain Polyhedron (for cross-class equality)."""
-        if type(self) is Polyhedron:
-            return self
-        return Polyhedron(self.ambient, self.is_empty, self.equalities, self.facets)
+        return self if type(self) is Polyhedron else self._recast(Polyhedron)
+
+    def _recast(self, cls):
+        """The same point set as a `cls`, keeping generators already computed."""
+        out = cls(self.ambient, self.is_empty, self.equalities, self.facets)
+        if "_generators" in self.__dict__:
+            out.__dict__["_generators"] = self.__dict__["_generators"]
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -225,6 +233,7 @@ class Polyhedron:
         cone.  A row tight only on the face lam = 0 never passes: its normal
         is constant on the affine hull, so the reduction has dropped it.
         See Fukuda and Prodon, "Double description method revisited" (1996).
+        The pass is kept as the new object's `_generators`.
         """
         pairs: list[HalfSpacePair] = []
         try:
@@ -287,7 +296,9 @@ class Polyhedron:
         # facets: the tight rays and the lineality span a codimension-one face
         facets = tuple((n, b) for n, b in sorted(ineqs.items())
                        if len(lin) + la.rank(tight(n, b)) == dim - 1)
-        return cls(ambient=ambient, is_empty=False, equalities=equalities, facets=facets)
+        out = cls(ambient=ambient, is_empty=False, equalities=equalities, facets=facets)
+        out.__dict__["_generators"] = (lin, rays)  # the cache `cached_property` reads
+        return out
 
     @classmethod
     def from_generators(cls, vertices: Sequence[Sequence], rays: Sequence[Sequence] = (),
@@ -304,18 +315,10 @@ class Polyhedron:
         dual_normals = [la.primitive(tuple(v) + (Fraction(1),)) for v in vertices]
         dual_normals += [la.primitive(tuple(r) + (Fraction(0),)) for r in rays if not la.is_zero_vector(r)]
         lin, drs = _dd_cone(sorted(set(dual_normals)), ambient + 1)
-        halfspaces: list[HalfSpacePair] = []
-        for u in drs:
-            if all(v == 0 for v in u[:ambient]):
-                continue
-            halfspaces.append((u[:ambient], Fraction(-u[ambient])))
-        for u in lin:
-            if all(v == 0 for v in u[:ambient]):
-                continue
-            halfspaces.append((u[:ambient], Fraction(-u[ambient])))
-            halfspaces.append((tuple(-v for v in u[:ambient]), Fraction(u[ambient])))
+        duals = drs + lin + tuple(tuple(-v for v in u) for u in lin)
+        halfspaces = [(u[:ambient], Fraction(-u[ambient])) for u in duals if any(u[:ambient])]
         if not halfspaces:
-            return cls(ambient=ambient, is_empty=False, equalities=(), facets=())
+            return cls.full_space(ambient)
         return cls.from_halfspaces(halfspaces, ambient)
 
     @classmethod
@@ -329,18 +332,18 @@ class Polyhedron:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def halfspaces(self) -> tuple[HalfSpace, ...]:
+    @cached_property
+    def halfspace_pairs(self) -> tuple[HalfSpacePair, ...]:
         """Full canonical list: equality pairs expanded plus facets, sorted."""
         pairs: list[HalfSpacePair] = list(self.facets)
         for n, b in self.equalities:
             pairs.append((n, b))
             pairs.append((tuple(-v for v in n), -b))
-        return tuple(HalfSpace(n, b) for n, b in sorted(pairs))
+        return tuple(sorted(pairs))
 
     @property
-    def halfspace_pairs(self) -> tuple[HalfSpacePair, ...]:
-        return tuple((h.normal, h.bound) for h in self.halfspaces)
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return tuple(HalfSpace(n, b) for n, b in self.halfspace_pairs)
 
     @cached_property
     def dim(self) -> int:
@@ -403,9 +406,7 @@ class Polyhedron:
             raise EmptyPolyhedron("empty polyhedron has no V-representation")
         if not self.is_pointed:
             raise NotPointed("V-representation requires a pointed polyhedron")
-        lin, rays = self._generators
-        if lin:
-            raise NotPointed("V-representation requires a pointed polyhedron")
+        _, rays = self._generators
         vertices = []
         recession = []
         for r in rays:
@@ -426,10 +427,7 @@ class Polyhedron:
         """The cone of unbounded directions: same normals, all bounds zero."""
         if self.is_empty:
             raise EmptyPolyhedron("empty polyhedron has no recession cone")
-        zeroed = [(n, Fraction(0)) for n, _ in self.facets]
-        for n, _ in self.equalities:
-            zeroed.append((n, Fraction(0)))
-            zeroed.append((tuple(-v for v in n), Fraction(0)))
+        zeroed = [(n, Fraction(0)) for n, _ in self.halfspace_pairs]
         return Cone.from_halfspaces(zeroed, self.ambient)
 
     def relative_interior_point(self) -> Vector:
@@ -497,11 +495,8 @@ class Polyhedron:
         found = {self}
         frontier = [self]
         while frontier:
-            current = frontier.pop()
-            for n, b in current.facets:
-                eqs = current.halfspace_pairs + ((tuple(-v for v in n), -b),)
-                child = type(self).from_halfspaces(eqs, self.ambient)
-                if not child.is_empty and child not in found:
+            for child in frontier.pop().facet_faces():
+                if child not in found:
                     found.add(child)
                     frontier.append(child)
         return tuple(sorted(found, key=lambda p: (p.dim, p.equalities, p.facets)))
@@ -519,17 +514,24 @@ class Polyhedron:
         return tuple(sorted(out, key=lambda p: (p.dim, p.equalities, p.facets)))
 
     def is_face_of(self, other: "Polyhedron") -> bool:
-        """True iff self = other cut by a valid hyperplane (self = other allowed)."""
+        """True iff self = other cut by a valid hyperplane (self = other allowed).
+
+        With self inside other, the facets of other that are tight on all of
+        self cut out the smallest face of other containing self; self is a
+        face iff it is that face.  A facet row n . x - b lam is tight on all
+        of self iff it vanishes on every extreme ray and lineality vector of
+        self's homogenization (`_generators`), so no LP is solved.
+        """
         if self.is_empty or other.is_empty:
             return False
         if self.as_polyhedron() == other.as_polyhedron():
             return True
         if not other.contains_polyhedron(self):
             return False
-        z = self.relative_interior_point()
+        lin, rays = self._generators
         active = list(other.halfspace_pairs)
         for n, b in other.facets:
-            if la.dot(n, z) == b:
+            if all(la.dot(n + (-b,), g) == 0 for g in lin + rays):
                 active.append((tuple(-v for v in n), -b))
         minimal_face = Polyhedron.from_halfspaces(active, self.ambient)
         return minimal_face == self.as_polyhedron()
@@ -552,17 +554,7 @@ class Cone(Polyhedron):
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence], ambient: int) -> "Cone":
         """Cone generated by rays (possibly none: the zero cone)."""
-        rays = [la.vec(r) for r in rays]
-        gens = sorted({la.primitive(r) for r in rays if not la.is_zero_vector(r)})
-        lin, dual_rays = _dd_cone(gens, ambient)
-        halfspaces: list[HalfSpacePair] = [(u, Fraction(0)) for u in dual_rays]
-        for u in lin:
-            halfspaces.append((u, Fraction(0)))
-            halfspaces.append((tuple(-v for v in u), Fraction(0)))
-        if not halfspaces:
-            # dual cone is {0}: the primal cone is the whole space
-            return cls(ambient=ambient, is_empty=False, equalities=(), facets=())
-        return cls.from_halfspaces(halfspaces, ambient)
+        return cls.from_generators([(0,) * ambient], rays, ambient)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -572,22 +564,23 @@ class Cone(Polyhedron):
     @classmethod
     def of(cls, p: Polyhedron) -> "Cone":
         """Reinterpret a zero-bound polyhedron as a Cone."""
-        return cls(p.ambient, p.is_empty, p.equalities, p.facets)
+        return p._recast(cls)
 
     @cached_property
     def generator_description(self) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
-        """(lineality basis, extreme rays modulo lineality)."""
+        """(lineality basis, extreme rays modulo lineality).
+
+        The homogenization of a cone C is C x {lam >= 0}: its lineality and
+        its rays with lam = 0 are C's, with a zero lam coordinate appended.
+        """
         if self.is_empty:
             raise EmptyPolyhedron("empty cone")
-        normals = [n for n, _ in self.facets]
-        for n, _ in self.equalities:
-            normals.append(n)
-            normals.append(tuple(-v for v in n))
-        if not normals:
+        if not self.equalities and not self.facets:
             ident = tuple(tuple(1 if j == i else 0 for j in range(self.ambient))
                           for i in range(self.ambient))
             return ident, ()
-        return _dd_cone(sorted(set(normals)), self.ambient)
+        lin, rays = self._generators
+        return tuple(l[:-1] for l in lin), tuple(r[:-1] for r in rays if r[-1] == 0)
 
     @property
     def rays(self) -> tuple[IntVector, ...]:
@@ -712,10 +705,6 @@ def recession_cone(p: Polyhedron) -> Cone:
 
 def face_of(q: Polyhedron, p: Polyhedron) -> bool:
     return q.is_face_of(p)
-
-
-def relative_interior_point(p: Polyhedron) -> Vector:
-    return p.relative_interior_point()
 
 
 def is_admissible(p: Polyhedron, fan: Fan) -> AdmissibilityResult:

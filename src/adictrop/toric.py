@@ -37,11 +37,7 @@ IntVector = tuple[int, ...]
 
 def dual_cone(cone: Cone) -> Cone:
     """{u : u.x >= 0 for all x in cone}; generators of one side are normals of the other."""
-    gens = cone.generators
-    if not gens:
-        # dual of the zero cone is everything
-        return Cone(ambient=cone.ambient, is_empty=False, equalities=(), facets=())
-    return Cone.from_halfspaces([(g, Fraction(0)) for g in gens], cone.ambient)
+    return Cone.from_halfspaces([(g, Fraction(0)) for g in cone.generators], cone.ambient)
 
 
 def _parallelepiped_points(gens: Sequence[IntVector]) -> list[IntVector]:

@@ -13,6 +13,12 @@ LP fails, and the corner locus is reconstructed from a grid scan.
 Only the exact LP core, RREF and the
 normalization of single inequalities are shared with the library (they are
 unit-tested on their own).
+
+Three oracles keep the library's earlier implementations, which ran their
+own passes instead of reading the generators kept by canonicalization: a
+cone's generator description by one `_dd_cone` on its canonical normals,
+the cone of a ray list by its own dualization, and the face relation
+through a relative interior point (an LP when the face is not pointed).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from adictrop import linalg as la
 from adictrop import lp
 from adictrop.errors import EmptyPolyhedron
 from adictrop.linalg import dot, vec
-from adictrop.polyhedra import Polyhedron, _constraints, _normalize_pair
+from adictrop.polyhedra import Cone, Polyhedron, _constraints, _dd_cone, _normalize_pair
 
 F = Fraction
 
@@ -129,6 +135,54 @@ def meets_lp(p: Polyhedron, q: Polyhedron) -> bool:
     if not ge and not eq:
         return True
     return lp.feasible_point(ge=ge, eq=eq) is not None
+
+
+def generator_description_dd(cone: Cone):
+    """(lineality basis, extreme rays modulo lineality), by its own DD pass."""
+    if cone.is_empty:
+        raise EmptyPolyhedron("empty cone")
+    normals = [n for n, _ in cone.facets]
+    for n, _ in cone.equalities:
+        normals.append(n)
+        normals.append(tuple(-v for v in n))
+    if not normals:
+        ident = tuple(tuple(1 if j == i else 0 for j in range(cone.ambient))
+                      for i in range(cone.ambient))
+        return ident, ()
+    return _dd_cone(sorted(set(normals)), cone.ambient)
+
+
+def cone_from_rays_dd(rays, ambient) -> Cone:
+    """Cone generated by rays: the facets of its dual cone, by one DD pass."""
+    rays = [la.vec(r) for r in rays]
+    gens = sorted({la.primitive(r) for r in rays if not la.is_zero_vector(r)})
+    lin, dual_rays = _dd_cone(gens, ambient)
+    halfspaces = [(u, F(0)) for u in dual_rays]
+    for u in lin:
+        halfspaces.append((u, F(0)))
+        halfspaces.append((tuple(-v for v in u), F(0)))
+    if not halfspaces:
+        # dual cone is {0}: the primal cone is the whole space
+        return Cone(ambient=ambient, is_empty=False, equalities=(), facets=())
+    return Cone.from_halfspaces(halfspaces, ambient)
+
+
+def is_face_of_lp(q: Polyhedron, p: Polyhedron) -> bool:
+    """Is q a face of p?  The facets of p tight at a relative interior point
+    of q (an LP when q is not pointed) cut out the smallest face containing q."""
+    if q.is_empty or p.is_empty:
+        return False
+    if q.as_polyhedron() == p.as_polyhedron():
+        return True
+    if not p.contains_polyhedron(q):
+        return False
+    z = q.relative_interior_point()
+    active = list(p.halfspace_pairs)
+    for n, b in p.facets:
+        if la.dot(n, z) == b:
+            active.append((tuple(-v for v in n), -b))
+    minimal_face = Polyhedron.from_halfspaces(active, q.ambient)
+    return minimal_face == q.as_polyhedron()
 
 
 def recession_direction(raw_halfspaces, v) -> bool:

@@ -22,9 +22,8 @@ from adictrop import (Cone, EmbeddingData, ExtendedComplex, Fan, Polyhedron,
                       build_skeleton, common_refinement, detect_accumulation,
                       hypersurface_trop, initial_form, is_integral_at,
                       is_locally_finite, monomial_polyhedron, parse_poly,
-                      relative_interior_point, skeleton_morphism,
-                      special_fiber_relations, support_contains, tilted_algebra,
-                      validate_complex)
+                      skeleton_morphism, special_fiber_relations, support_contains,
+                      tilted_algebra, validate_complex)
 from adictrop.degeneration import LaurentPoly, ValuedCoeff
 from adictrop import lp
 

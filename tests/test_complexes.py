@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adictrop import lp
 from adictrop.complexes import (FAMILY_NODE, ExtendedComplex, Rank1Family, RefinementMap,
                                 adjacency_components, common_refinement,
                                 detect_accumulation, is_complete,
                                 is_locally_finite, is_union_of_faces, refinement_map,
-                                support_contains, validate_complex)
+                                support_contains, validate_complex, _bounds_1d)
 from adictrop.jsonio import adjacency_dot, incidence_dot
 from adictrop.errors import (FamilyNotSupported, MalformedInput, NotAdmissible,
                              NotARefinement, SupportMismatch)
@@ -191,6 +194,41 @@ def test_validate_family_overlap():
     bad = validate_complex(Fan.trivial(1), [point(0), interval(F(1, 2), 2),
                                             point(F(1, 2)), point(2)], fam)
     assert any(v.kind == "family-overlap" for v in bad.violations)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3).map(lambda n: (n,)),
+                          st.builds(F, st.integers(-6, 6), st.integers(1, 3))),
+                max_size=4))
+@example([((1,), F(2)), ((-1,), F(-2))])  # a point
+@example([((2,), F(1)), ((-1,), F(-3))])  # a segment
+@example([((1,), F(-1))])  # a ray to the right
+@example([((-3,), F(1))])  # a ray to the left
+@example([])  # the line
+@example([((1,), F(1)), ((-1,), F(0))])  # empty
+def test_rank1_bounds_match_lp(rows):
+    p = Polyhedron.from_halfspaces(rows, 1)
+    expected = tuple(res.value if res.status == lp.OPTIMAL else None
+                     for res in (p.minimize([1]), p.maximize([1])))
+    assert _bounds_1d(p) == expected
+
+
+def test_rank1_family_checks_solve_no_lp(monkeypatch):
+    fam = Rank1Family.from_rule("1/n")
+    faces = [point(0), point(1), point(F(1, 2)), interval(F(1, 2), 1)]
+    unbounded = [point(0), point(F(1, 2)), ray_ge(F(1, 2))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank-1 check solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    assert fam.meets(interval(0, 1)) and fam.meets(ray_le(F(1, 3)))
+    assert not fam.meets(ray_le(0)) and not fam.meets(interval(F(3, 2), 2))
+    assert validate_complex(Fan.trivial(1), faces, fam).ok
+    report = validate_complex(Fan.trivial(1), unbounded, fam)
+    assert [v.detail for v in report.violations if v.kind == "family-overlap"] == [
+        "face 2 is unbounded across the family"]
 
 
 # -- completeness -----------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adictrop import lp
+from adictrop import lp, polyhedra
 from adictrop.degeneration import hypersurface_trop, tilted_algebra
 from adictrop.errors import EmptyPolyhedron, NotAFan, NotPointed
 from adictrop.parsing import parse_poly
-from adictrop.polyhedra import (Cone, Fan, HalfSpace, Polyhedron, face_of,
-                                is_admissible, recession_cone)
+from adictrop.polyhedra import (Cone, Fan, HalfSpace, Polyhedron, VRep, _homogenized_dd,
+                                face_of, is_admissible, recession_cone)
 
 import oracles
 
@@ -436,3 +436,139 @@ def test_determinism_of_construction():
         assert again == first
         assert again.halfspace_pairs == first.halfspace_pairs
         assert again.vrep() == first.vrep()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(halfspace_systems())
+@example((3, [((1, 0, 0), F(0)), ((-1, 0, 0), F(0)), ((0, 1, 0), F(1))]))  # a half-plane
+@example((2, []))  # the whole plane
+def test_kept_pass_equals_pass_over_canonical_rows(system):
+    ambient, rows = system
+    p = _poly(rows, ambient)
+    if not p.is_empty:
+        assert p.__dict__["_generators"] == _homogenized_dd(p.halfspace_pairs, ambient)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(halfspace_systems())
+@example((3, []))  # the full space: identity in the order e_0, e_1, e_2
+@example((2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)]))  # the zero cone
+@example((3, [((1, 1, 0), 0), ((0, 0, 1), 0)]))  # a wedge around a line
+def test_generator_description_matches_dd_oracle(system):
+    ambient, rows = system
+    cone = Cone.from_halfspaces([(n, 0) for n, _ in rows], ambient)
+    expected = oracles.generator_description_dd(cone)
+    assert cone.generator_description == expected
+    assert Cone.of(cone.as_polyhedron()).generator_description == expected
+    unseeded = Cone(cone.ambient, cone.is_empty, cone.equalities, cone.facets)
+    assert unseeded.generator_description == expected
+
+
+@st.composite
+def ray_lists(draw):
+    """(ambient, rays): up to 6 rays in Z^1..Z^4, zero rays and lines included."""
+    ambient = draw(st.integers(1, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * ambient), max_size=6))
+    if rays and draw(st.booleans()):
+        rays.append(tuple(-v for v in draw(st.sampled_from(rays))))
+    return ambient, rays
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ray_lists())
+@example((3, []))  # the zero cone
+@example((2, [(1, 0), (-1, 0), (0, 1), (0, -1)]))  # the whole plane
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1)]))  # a half-plane
+def test_cone_from_rays_matches_dd_oracle(system):
+    ambient, rays = system
+    assert Cone.from_rays(rays, ambient) == oracles.cone_from_rays_dd(rays, ambient)
+
+
+@st.composite
+def face_candidates(draw):
+    """(q, p) in Q^1..Q^4: q a face of p, p cut by more rows, or unrelated.
+
+    p comes from at most 5 rows with entries in [-2, 2], so it is often
+    non-pointed; equality pairs make it lower-dimensional.
+    """
+    ambient = draw(st.integers(1, 4))
+
+    def rows(most):
+        out = []
+        for _ in range(draw(st.integers(0, most))):
+            normal = draw(st.tuples(*[st.integers(-2, 2)] * ambient))
+            b = draw(st.builds(F, st.integers(-4, 4), st.integers(1, 2)))
+            out.append((normal, b))
+            if draw(st.integers(0, 3)) == 0:
+                out.append((tuple(-v for v in normal), -b))
+        return out
+
+    p = _poly(rows(5), ambient)
+    kind = draw(st.sampled_from(["face", "face", "cut", "other"]))
+    if kind == "face" and not p.is_empty:
+        q = draw(st.sampled_from(p.faces()))
+    elif kind == "cut":
+        q = p.intersection(_poly(rows(3), ambient))
+    else:
+        q = _poly(rows(5), ambient)
+    return q, p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(face_candidates())
+@example((_LINE, _PLANE))  # a line inside a plane: not a face
+@example((_poly([((0, 1), 0), ((0, -1), 0)], 2), _poly([((0, 1), 0)], 2)))  # boundary line
+@example((Cone.zero(2), Cone.from_rays([(1, 0), (0, 1)], 2)))  # apex of a quadrant
+def test_is_face_of_matches_lp_oracle(pair):
+    q, p = pair
+    assert q.is_face_of(p) == oracles.is_face_of_lp(q, p)
+    assert p.is_face_of(q) == oracles.is_face_of_lp(p, q)
+
+
+def test_face_relation_solves_no_lp(monkeypatch):
+    strip = _poly([((0, 1), 0), ((0, -1), -1)], 2)  # 0 <= y <= 1
+    edge = _poly([((0, 1), 0), ((0, -1), 0)], 2)  # y = 0
+    middle = _poly([((0, 2), 1), ((0, -2), -1)], 2)  # y = 1/2
+    slab = _poly([((0, 0, 1), 0), ((0, 0, -1), -1)], 3)
+    floor = _poly([((0, 0, 1), 0), ((0, 0, -1), 0)], 3)
+    half_slab = slab.intersection(_poly([((1, 0, 0), 0)], 3))  # and x >= 0
+    half_floor = floor.intersection(half_slab)
+    edge_line = half_floor.intersection(_poly([((-1, 0, 0), 0)], 3))  # the y-axis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the face relation solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    assert edge.is_face_of(strip)
+    assert not middle.is_face_of(strip)
+    assert floor.is_face_of(slab)
+    assert half_floor.is_face_of(half_slab) and not half_floor.is_face_of(slab)
+    assert not half_floor.is_face_of(floor)
+    assert edge_line.is_face_of(half_slab) and edge_line.is_face_of(half_floor)
+
+
+def test_kept_pass_serves_later_readers(monkeypatch):
+    real = polyhedra._dd_cone
+    passes = []
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    corner = _poly([((1, 0), 1), ((0, 1), 0), ((1, 1), 2), ((2, 0), 1)], 2)  # pointed, unbounded
+    segment = _poly([((1, 0), 2), ((-1, 0), -3), ((0, 1), 1), ((0, -1), -1)], 2)
+    quadrant = Cone.from_halfspaces([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                                     ((0, 0, -1), 0), ((1, 1, 0), 0)], 3)
+    recast = Cone.of(_poly([((1, 1), 0), ((1, -1), 0), ((2, 0), 0)], 2))
+    built = len(passes)
+    assert built == 4
+
+    assert corner.vrep() == VRep(((F(1), F(1)), (F(2), F(0))), ((0, 1), (1, 0)))
+    assert corner.contains_polyhedron(segment) and not segment.contains_polyhedron(corner)
+    for cone in (quadrant, recast):
+        lin, rays = cone.generator_description
+        assert not lin and cone.rays == rays and len(cone.vrep().rays) == 2
+        assert cone.contains_polyhedron(cone)
+    assert len(passes) == built
