@@ -4,7 +4,8 @@ Every subcommand writes one canonical JSON document to stdout and,
 with --dot PATH, a Graphviz view of the relevant poset.  Exit codes:
 0 success, 2 a mathematical precondition failed (the JSON result, when
 one exists, still goes to stdout), 1 malformed input.  Failures also
-write a machine-readable {"error": {...}} document to stderr.
+write a machine-readable {"error": {...}} document to stderr.  Each
+subcommand imports the library functions it uses when it runs.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio as jio
-from .complexes import (adjacency_components, common_refinement, detect_accumulation,
-                        is_complete, is_locally_finite, refinement_map,
-                        validate_complex)
-from .degeneration import (hypersurface_trop, initial_form, initial_form_on_stratum,
-                           special_fiber_relations, tilted_algebra, trop_eval)
 from .errors import AdictropError, DomainError, MalformedInput, NotACover
-from .gubler import (_skeleton_of_cover, adapted_to, build_skeleton, covers,
-                     skeleton_dot, skeleton_morphism)
-from .parsing import parse_poly
-from .toric import ExtendedPoint, stratum_lattice
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -63,6 +55,7 @@ def _variables(args) -> tuple[str, ...] | None:
 
 
 def _poly_arg(args):
+    from .parsing import parse_poly
     return parse_poly(args.poly, _variables(args))
 
 
@@ -84,6 +77,7 @@ def _parse_box(text: str, nvars: int):
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_trop(args):
+    from .degeneration import hypersurface_trop
     f = _poly_arg(args)
     box = None if args.box is None else _parse_box(args.box, f.nvars)
     cells = hypersurface_trop(f, box)
@@ -93,6 +87,8 @@ def _cmd_trop(args):
 
 
 def _cmd_initial(args):
+    from .degeneration import initial_form, initial_form_on_stratum, trop_eval
+    from .toric import ExtendedPoint, stratum_lattice
     f = _poly_arg(args)
     coords = _fractions(args.point)
     if args.stratum is not None:
@@ -114,6 +110,7 @@ def _cmd_initial(args):
 
 
 def _cmd_tilted(args):
+    from .degeneration import special_fiber_relations, tilted_algebra
     p = jio.polyhedron_from_json(_load(args.polyhedron))
     presentation = tilted_algebra(p, args.denominator)
     relations = special_fiber_relations(presentation)
@@ -122,6 +119,7 @@ def _cmd_tilted(args):
 
 
 def _cmd_refine(args):
+    from .complexes import common_refinement, refinement_map
     deltas = [jio.complex_from_json(_load(path)) for path in args.complexes]
     refined = common_refinement(*deltas)
     maps = [refinement_map(refined, d) for d in deltas]
@@ -131,6 +129,8 @@ def _cmd_refine(args):
 
 
 def _cmd_check(args):
+    from .complexes import (adjacency_components, detect_accumulation, is_complete,
+                            is_locally_finite, validate_complex)
     delta = jio.complex_from_json(_load(args.complex))
     report = validate_complex(delta.fan, delta.finite_parts, delta.family)
     payload = jio.report_to_json(report)
@@ -154,6 +154,7 @@ def _skeleton_inputs(args):
 
 
 def _cmd_skeleton(args):
+    from .gubler import _skeleton_of_cover, covers, skeleton_dot
     embedding, delta = _skeleton_inputs(args)
     decision = covers(delta, embedding)
     if not decision.ok:
@@ -167,6 +168,7 @@ def _cmd_skeleton(args):
 
 
 def _cmd_adapt(args):
+    from .gubler import adapted_to, build_skeleton, skeleton_dot
     embedding, delta = _skeleton_inputs(args)
     skeleton = build_skeleton(embedding, delta, args.denominator)
     pieces_json = _load(args.pieces)
@@ -184,6 +186,7 @@ def _cmd_adapt(args):
 
 
 def _cmd_morphism(args):
+    from .gubler import build_skeleton, skeleton_morphism
     embedding = jio.embedding_from_json(_load(args.embedding))
     fine = build_skeleton(embedding, jio.complex_from_json(_load(args.fine)),
                           args.denominator)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg as la
@@ -258,9 +259,18 @@ class ExtendedComplex:
                 return i
         return None
 
-    def maximal_face_indices(self) -> tuple[int, ...]:
-        contained = {i for i, _ in containment_pairs(self.finite_parts)}
+    @cached_property
+    def containment(self) -> tuple[tuple[int, int], ...]:
+        """`containment_pairs` of the finite parts, computed once per complex."""
+        return tuple(containment_pairs(self.finite_parts))
+
+    @cached_property
+    def _maximal(self) -> tuple[int, ...]:
+        contained = {i for i, _ in self.containment}
         return tuple(i for i in range(len(self.faces)) if i not in contained)
+
+    def maximal_face_indices(self) -> tuple[int, ...]:
+        return self._maximal
 
     @property
     def is_finite(self) -> bool:
@@ -275,9 +285,9 @@ def _face_sort_key(p: Polyhedron):
 
 
 def containment_pairs(parts: Sequence[Polyhedron]) -> list[tuple[int, int]]:
-    """Sorted pairs (i, j), i != j, with parts[i] contained in parts[j]."""
+    """Sorted pairs (i, j), i != j, with parts[i] (of no larger dim) in parts[j]."""
     return sorted((i, j) for j, q in enumerate(parts) for i, p in enumerate(parts)
-                  if i != j and q.contains_polyhedron(p))
+                  if i != j and p.dim <= q.dim and q.contains_polyhedron(p))
 
 
 def covering_pairs(order: Iterable[tuple[int, int]], count: int) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
-from .complexes import (ExtendedComplex, RefinementMap, containment_pairs, covering_pairs,
+from .complexes import (ExtendedComplex, RefinementMap, covering_pairs,
                         is_union_of_faces, refinement_map)
 from .degeneration import (LaurentPoly, ResiduePoly, TiltedPresentation, _argmin_regions,
                            _box_halfspaces, hypersurface_trop, initial_form,
@@ -308,8 +308,7 @@ def _skeleton_of_cover(embedding: EmbeddingData, delta: ExtendedComplex,
             charts.append(Chart(i, stratum, piece, tilted_algebra(piece, denominator),
                                 sample, forms, evaluated, empty))
     charts.sort(key=lambda c: (c.face_index, c.stratum))
-    gluing = tuple(containment_pairs(work.finite_parts))
-    return GublerSkeleton(embedding, denominator, work, tuple(charts), gluing)
+    return GublerSkeleton(embedding, denominator, work, tuple(charts), work.containment)
 
 
 # -- stratum enumeration -----------------------------------------------------------

@@ -14,19 +14,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .complexes import (FAMILY_NODE, ExtendedComplex, Rank1Family, RefinementMap,
                         ValidationReport, Violation, _extended_meets, containment_pairs,
                         covering_pairs)
-from .degeneration import (InitialIdeal, LaurentPoly, ResiduePoly,
-                           SpecialFiberRelations, TiltedPresentation, ValuedCoeff)
 from .errors import MalformedInput
-from .gubler import (Chart, CoverDecision, EmbeddingData, FaceArrow,
-                     GublerSkeleton, SkeletonMorphism, adic_trop_strata)
-from .parsing import parse_poly
 from .polyhedra import Cone, Fan, Polyhedron
 from .toric import ExtendedPoint
+
+if TYPE_CHECKING:  # the converters that need these modules import them when called
+    from .degeneration import (InitialIdeal, LaurentPoly, ResiduePoly,
+                               SpecialFiberRelations, TiltedPresentation, ValuedCoeff)
+    from .gubler import Chart, CoverDecision, EmbeddingData, GublerSkeleton, SkeletonMorphism
 
 _FRACTION = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -191,7 +191,7 @@ def family_from_json(obj) -> Rank1Family:
 def complex_to_json(delta: ExtendedComplex) -> dict:
     out = {"fan": fan_to_json(delta.fan),
            "faces": [polyhedron_to_json(p) for p in delta.finite_parts],
-           "incidence": [list(pair) for pair in containment_pairs(delta.finite_parts)]}
+           "incidence": [list(pair) for pair in delta.containment]}
     if delta.family is not None:
         out["family"] = family_to_json(delta.family)
     return out
@@ -205,7 +205,7 @@ def complex_from_json(obj) -> ExtendedComplex:
         family = family_from_json(obj["family"])
     delta = ExtendedComplex.from_polyhedra(fan, faces, family=family)
     if "incidence" in obj:
-        _expect([list(p) for p in containment_pairs(delta.finite_parts)] == obj["incidence"],
+        _expect([list(p) for p in delta.containment] == obj["incidence"],
                 "complex incidence does not match the listed faces")
     return delta
 
@@ -242,6 +242,7 @@ def coeff_to_json(a: ValuedCoeff) -> dict:
 
 
 def coeff_from_json(obj) -> ValuedCoeff:
+    from .degeneration import ValuedCoeff
     terms = _get(obj, "terms", list)
     return ValuedCoeff.of([(parse_fraction(_get(t, "e", str)),
                             parse_fraction(_get(t, "c", str))) for t in terms])
@@ -253,6 +254,7 @@ def poly_to_json(f: LaurentPoly) -> dict:
 
 
 def poly_from_json(obj) -> LaurentPoly:
+    from .degeneration import LaurentPoly
     nvars = _get(obj, "nvars", int)
     terms = [(_int_vector(_get(t, "u", list), "exponent"),
               coeff_from_json(_get(t, "c", dict)))
@@ -268,6 +270,8 @@ def generator_from_json(entry, nvars: int | None = None,
     zero exponents (so "x + 1" works in a rank-2 setting) unless an explicit
     variable list pins the arity.
     """
+    from .degeneration import LaurentPoly
+    from .parsing import parse_poly
     if isinstance(entry, str):
         f = parse_poly(entry, variables)
         if nvars is not None and variables is None and f.nvars < nvars:
@@ -284,6 +288,7 @@ def residue_to_json(f: ResiduePoly) -> dict:
 
 
 def residue_from_json(obj) -> ResiduePoly:
+    from .degeneration import ResiduePoly
     nvars = _get(obj, "nvars", int)
     terms = [(_int_vector(_get(t, "u", list), "exponent"),
               parse_fraction(_get(t, "c", str)))
@@ -297,6 +302,7 @@ def ideal_to_json(ideal: InitialIdeal) -> dict:
 
 
 def ideal_from_json(obj) -> InitialIdeal:
+    from .degeneration import InitialIdeal
     return InitialIdeal(tuple(residue_from_json(f) for f in _get(obj, "forms", list)),
                         _get(obj, "principal", bool),
                         _get(obj, "basis_asserted", bool))
@@ -313,6 +319,7 @@ def presentation_to_json(pres: TiltedPresentation) -> dict:
 
 
 def presentation_from_json(obj) -> TiltedPresentation:
+    from .degeneration import TiltedPresentation
     generators = tuple((_int_vector(_get(g, "u", list), "exponent"),
                         parse_fraction(_get(g, "level", str)))
                        for g in _get(obj, "generators", list))
@@ -329,6 +336,7 @@ def relations_to_json(rel: SpecialFiberRelations) -> dict:
 
 
 def relations_from_json(obj) -> SpecialFiberRelations:
+    from .degeneration import SpecialFiberRelations
     identities = tuple(
         tuple(_int_vector(p, "index product") for p in group)
         for group in _get(obj, "identities", list))
@@ -350,6 +358,7 @@ def embedding_to_json(embedding: EmbeddingData) -> dict:
 
 
 def embedding_from_json(obj) -> EmbeddingData:
+    from .gubler import EmbeddingData
     fan = fan_from_json(_get(obj, "fan", dict))
     variables = obj.get("variables")
     if variables is not None:
@@ -377,6 +386,7 @@ def decision_to_json(decision: CoverDecision) -> dict:
 
 
 def decision_from_json(obj) -> CoverDecision:
+    from .gubler import CoverDecision
     witness = obj.get("witness")
     return CoverDecision(_get(obj, "ok", bool),
                          None if witness is None else point_from_json(witness))
@@ -392,6 +402,7 @@ def _chart_to_json(c: Chart) -> dict:
 
 
 def _chart_from_json(obj) -> Chart:
+    from .gubler import Chart
     return Chart(_get(obj, "face", int), _get(obj, "stratum", int),
                  polyhedron_from_json(_get(obj, "piece", dict)),
                  presentation_from_json(_get(obj, "presentation", dict)),
@@ -401,6 +412,7 @@ def _chart_from_json(obj) -> Chart:
 
 
 def _strata_json(skeleton: GublerSkeleton) -> list[dict]:
+    from .gubler import adic_trop_strata
     return [{"face": r.face_index, "stratum": r.stratum,
              "sample": [format_fraction(x) for x in r.sample],
              "forms": [residue_to_json(f) for f in r.forms]}
@@ -417,6 +429,7 @@ def skeleton_to_json(skeleton: GublerSkeleton) -> dict:
 
 
 def skeleton_from_json(obj) -> GublerSkeleton:
+    from .gubler import GublerSkeleton
     embedding = embedding_from_json(_get(obj, "embedding", dict))
     delta = complex_from_json(_get(obj, "complex", dict))
     charts = tuple(_chart_from_json(c) for c in _get(obj, "charts", list))
@@ -440,6 +453,7 @@ def morphism_to_json(m: SkeletonMorphism) -> dict:
 
 
 def morphism_from_json(obj) -> SkeletonMorphism:
+    from .gubler import FaceArrow, SkeletonMorphism
     source = skeleton_from_json(_get(obj, "source", dict))
     target = skeleton_from_json(_get(obj, "target", dict))
     ref = RefinementMap(source.complex, target.complex,
@@ -461,32 +475,34 @@ def _node(i: int) -> str:
 
 def faces_dot(parts: Sequence[Polyhedron]) -> str:
     """Containment poset of a cell list (covering relation)."""
-    lines = ["digraph faces {", "  rankdir=BT;"]
-    for i, p in enumerate(parts):
-        lines.append(f'  f{i} [label="P{i} dim {p.dim}"];')
-    for i, j in covering_pairs(containment_pairs(parts), len(parts)):
-        lines.append(f"  f{i} -> f{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _poset_dot(parts, containment_pairs(parts))
 
 
 def incidence_dot(delta: ExtendedComplex) -> str:
     """Face poset of the finite parts (covering relation)."""
-    return faces_dot(delta.finite_parts)
+    return _poset_dot(delta.finite_parts, delta.containment)
+
+
+def _poset_dot(parts: Sequence[Polyhedron], order) -> str:
+    lines = ["digraph faces {", "  rankdir=BT;", *_poset_lines(parts, order, "f", "  "), "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _poset_lines(parts: Sequence[Polyhedron], order, prefix: str, indent: str) -> list[str]:
+    """One node per part, one edge per covering pair of the order."""
+    return ([f'{indent}{prefix}{i} [label="P{i} dim {p.dim}"];' for i, p in enumerate(parts)]
+            + [f"{indent}{prefix}{i} -> {prefix}{j};"
+               for i, j in covering_pairs(order, len(parts))])
 
 
 def morphism_dot(m: SkeletonMorphism) -> str:
     """Source and target face posets side by side, dashed assignment arrows."""
     lines = ["digraph morphism {", "  rankdir=BT;"]
     for name, skeleton in (("source", m.source), ("target", m.target)):
-        prefix = name[0]
         lines.append(f"  subgraph cluster_{name} {{")
         lines.append(f'    label="{name}";')
-        parts = skeleton.complex.finite_parts
-        for i, p in enumerate(parts):
-            lines.append(f'    {prefix}{i} [label="P{i} dim {p.dim}"];')
-        for i, j in covering_pairs(containment_pairs(parts), len(parts)):
-            lines.append(f"    {prefix}{i} -> {prefix}{j};")
+        lines += _poset_lines(skeleton.complex.finite_parts, skeleton.complex.containment,
+                              name[0], "    ")
         lines.append("  }")
     for i, j in enumerate(m.refinement.assignment):
         lines.append(f"  s{i} -> t{j} [style=dashed];")

@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import linalg as la
-from . import lp
 from .errors import EmptyPolyhedron, NotAFan, NotPointed
 
 Vector = tuple[Fraction, ...]
@@ -256,8 +255,12 @@ class Polyhedron:
             if n not in best or b > best[n]:
                 best[n] = b
         pairs = sorted(best.items())
+        return cls._from_pass(pairs, ambient, *_homogenized_dd(pairs, ambient))
 
-        lin, rays = _homogenized_dd(pairs, ambient)
+    @classmethod
+    def _from_pass(cls, pairs: Sequence[HalfSpacePair], ambient: int, lin, rays) -> "Polyhedron":
+        """`from_halfspaces` of normalized `pairs` with distinct normals, given
+        their `_homogenized_dd` (lin, rays); kept as `_generators`."""
         if all(r[ambient] == 0 for r in rays):
             return cls._make_empty(ambient)
         dim = len(lin) + la.rank(rays)
@@ -382,10 +385,12 @@ class Polyhedron:
                 and all(la.dot(n, x) >= b for n, b in self.facets))
 
     def maximize(self, objective: Sequence) -> lp.LPResult:
+        from . import lp
         ge, eq = _constraints(self.equalities, self.facets)
         return lp.maximize([la.frac(c) for c in objective], ge=ge, eq=eq)
 
     def minimize(self, objective: Sequence) -> lp.LPResult:
+        from . import lp
         ge, eq = _constraints(self.equalities, self.facets)
         return lp.minimize([la.frac(c) for c in objective], ge=ge, eq=eq)
 
@@ -451,6 +456,7 @@ class Polyhedron:
             return point
         if not self.equalities and not self.facets:
             return tuple(Fraction(0) for _ in range(self.ambient))
+        from . import lp
         _, eq = _constraints(self.equalities, ())
         strict = [([Fraction(v) for v in n], b) for n, b in self.facets]
         pt = lp.feasible_point(eq=eq, strict=strict) if strict else lp.feasible_point(eq=eq)
@@ -489,28 +495,34 @@ class Polyhedron:
                 and all(la.dot(row, r) >= 0 for row in rows for r in rays))
 
     def faces(self) -> tuple["Polyhedron", ...]:
-        """All nonempty faces, self included, in canonical order."""
-        if self.is_empty:
-            return ()
-        found = {self}
-        frontier = [self]
-        while frontier:
-            for child in frontier.pop().facet_faces():
-                if child not in found:
-                    found.add(child)
-                    frontier.append(child)
-        return tuple(sorted(found, key=lambda p: (p.dim, p.equalities, p.facets)))
+        """All nonempty faces, self included, in canonical order.
 
-    def facet_faces(self) -> tuple["Polyhedron", ...]:
-        """Codimension-one faces (children in the face poset)."""
+        Read off the kept pass (Kaibel and Pfetsch, "Computing the face
+        lattice of a polytope from its vertex-facet incidences", 2002): the
+        faces are the intersections of the facets' tight ray sets, starting
+        from all rays, that still hold a ray with lam > 0.  A face is
+        canonicalized from its rays, its tight facets reversed as extra rows,
+        with no pass of its own.
+        """
         if self.is_empty:
             return ()
-        out = set()
-        for n, b in self.facets:
-            eqs = self.halfspace_pairs + ((tuple(-v for v in n), -b),)
-            child = type(self).from_halfspaces(eqs, self.ambient)
-            if not child.is_empty and child.dim == self.dim - 1:
-                out.add(child)
+        lin, rays = self._generators
+        positive = frozenset(k for k, r in enumerate(rays) if r[self.ambient] > 0)
+        tight = {(n, b): frozenset(k for k, r in enumerate(rays) if la.dot(n + (-b,), r) == 0)
+                 for n, b in self.facets}
+        found = {frozenset(range(len(rays)))}
+        for t in tight.values():
+            found |= {s & t for s in found if s & t & positive}
+        out = [self]
+        for s in found:
+            if len(s) == len(rays):
+                continue
+            rows = dict(self.halfspace_pairs)
+            for (n, b), t in tight.items():
+                if s <= t:  # on a nonempty face, -n . x >= -b is the stronger bound
+                    rows[tuple(-v for v in n)] = -b
+            out.append(type(self)._from_pass(sorted(rows.items()), self.ambient, lin,
+                                             tuple(rays[k] for k in sorted(s))))
         return tuple(sorted(out, key=lambda p: (p.dim, p.equalities, p.facets)))
 
     def is_face_of(self, other: "Polyhedron") -> bool:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg as la
-from . import lp
 from .polyhedra import HalfSpacePair, Polyhedron, _homogenized_dd
 
 Vector = tuple[Fraction, ...]
@@ -53,6 +52,7 @@ class Cell:
         return any(all(la.dot(n + (-b,), g) == 0 for g in gens) for n, b in self.strict)
 
     def feasible_point(self) -> Vector | None:
+        from . import lp
         if self.ambient == 0:
             return None if self.is_empty else ()
         ge = [([Fraction(v) for v in n], b) for n, b in self.closed]

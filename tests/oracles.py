@@ -14,11 +14,12 @@ Only the exact LP core, RREF and the
 normalization of single inequalities are shared with the library (they are
 unit-tested on their own).
 
-Three oracles keep the library's earlier implementations, which ran their
+Four oracles keep the library's earlier implementations, which ran their
 own passes instead of reading the generators kept by canonicalization: a
 cone's generator description by one `_dd_cone` on its canonical normals,
-the cone of a ray list by its own dualization, and the face relation
-through a relative interior point (an LP when the face is not pointed).
+the cone of a ray list by its own dualization, the face relation through
+a relative interior point (an LP when the face is not pointed), and the
+face lattice by a walk that canonicalizes each facet of each face anew.
 """
 
 from __future__ import annotations
@@ -185,6 +186,33 @@ def is_face_of_lp(q: Polyhedron, p: Polyhedron) -> bool:
     return minimal_face == q.as_polyhedron()
 
 
+def facet_faces_walk(p: Polyhedron) -> tuple[Polyhedron, ...]:
+    """Codimension-one faces: each facet made an equality, canonicalized anew."""
+    if p.is_empty:
+        return ()
+    out = set()
+    for n, b in p.facets:
+        eqs = p.halfspace_pairs + ((tuple(-v for v in n), -b),)
+        child = type(p).from_halfspaces(eqs, p.ambient)
+        if not child.is_empty and child.dim == p.dim - 1:
+            out.add(child)
+    return tuple(sorted(out, key=lambda q: (q.dim, q.equalities, q.facets)))
+
+
+def faces_walk(p: Polyhedron) -> tuple[Polyhedron, ...]:
+    """All nonempty faces, p included, by walking facets of facets."""
+    if p.is_empty:
+        return ()
+    found = {p}
+    frontier = [p]
+    while frontier:
+        for child in facet_faces_walk(frontier.pop()):
+            if child not in found:
+                found.add(child)
+                frontier.append(child)
+    return tuple(sorted(found, key=lambda q: (q.dim, q.equalities, q.facets)))
+
+
 def recession_direction(raw_halfspaces, v) -> bool:
     """Is v an unbounded direction of {x : u.x >= b}?  Checked on the raw system."""
     return all(dot(vec(u), vec(v)) >= 0 for u, _ in raw_halfspaces)
@@ -348,7 +376,7 @@ def grid_corner_locus(terms, box, step: Fraction):
     for pattern in patterns:
         pts = [pt for pt, amin in scanned if amin >= pattern]
         hull = Polyhedron.from_generators(pts, ambient=d)
-        for f in hull.faces():
+        for f in faces_walk(hull):
             faces.add(f)
     return tuple(sorted(faces, key=lambda p: (p.dim, p.equalities, p.facets)))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import adictrop.cli as cli
+import adictrop.complexes as complexes
 import adictrop.gubler as gubler
 import adictrop.jsonio as jio
 from adictrop.cli import main
@@ -283,10 +283,34 @@ def test_skeleton_checks_the_cover_once(capsys, tmp_path, monkeypatch, covering)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gubler, "covers", counting)
-    monkeypatch.setattr(cli, "covers", counting)
     assert main(argv) == code == (0 if covering else 2)
     assert capsys.readouterr().out == out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("covering", [True, False])
+def test_skeleton_orders_each_complex_once(capsys, tmp_path, monkeypatch, covering):
+    # The passes are the input complex's (its JSON incidence, then the cover
+    # check's maximal faces) and, for a cover, its subdivision by the
+    # linearity regions of x + y + 1 (the gluing, then its JSON incidence).
+    if covering:
+        complex_path = star_file(tmp_path)
+    else:
+        quadrant = Cone.from_rays([(1, 0), (0, 1)], 2).as_polyhedron()
+        complex_path = write(tmp_path, "partial.json", jio.complex_to_json(
+            ExtendedComplex.from_polyhedra(p2_fan(), [quadrant])))
+    passes = []
+    real = complexes.containment_pairs
+
+    def counting(parts):
+        passes.append(len(parts))
+        return real(parts)
+
+    monkeypatch.setattr(complexes, "containment_pairs", counting)
+    argv = ["skeleton", "--embedding", embedding_file(tmp_path), "--complex", complex_path]
+    assert main(argv) == (0 if covering else 2)
+    capsys.readouterr()
+    assert passes == ([7, 7] if covering else [4])
 
 
 # -- adapt ---------------------------------------------------------------------

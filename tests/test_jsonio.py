@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adictrop.jsonio as jio
 from adictrop.complexes import (ExtendedComplex, Rank1Family, ValidationReport,
@@ -86,6 +88,57 @@ def test_polyhedron_roundtrip():
     roundtrip(Polyhedron.empty(3), jio.polyhedron_to_json, jio.polyhedron_from_json)
     roundtrip(Polyhedron.from_halfspaces([], 2),
               jio.polyhedron_to_json, jio.polyhedron_from_json)
+
+
+@st.composite
+def encodable_values(draw):
+    """(value, to_json, from_json) in rank 1-3: a polyhedron from random rows,
+    a fan of orthant cones under a shear, a complex over such a fan (bounded
+    cells and translated fan cones, face-closed) or an extended point."""
+    ambient = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["polyhedron", "fan", "complex", "point"]))
+    coord = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+    if kind == "point":
+        coords = tuple(draw(st.lists(coord, max_size=ambient)))
+        return ExtendedPoint(draw(st.integers(0, 6)), coords), jio.point_to_json, \
+            jio.point_from_json
+    if kind == "polyhedron":
+        rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * ambient), coord),
+                             max_size=7))
+        return Polyhedron.from_halfspaces(rows, ambient), jio.polyhedron_to_json, \
+            jio.polyhedron_from_json
+    signs = draw(st.lists(st.tuples(*[st.sampled_from([1, -1])] * ambient),
+                          min_size=1, max_size=2 ** ambient, unique=True))
+    shear = draw(st.integers(-2, 2))
+
+    def sheared(v):  # x_0 += shear * x_1, a lattice automorphism
+        return (v[0] + shear * v[1],) + v[1:] if ambient > 1 else v
+
+    fan = Fan.from_cones([Cone.from_rays([sheared(tuple(s if j == i else 0
+                                                        for j in range(ambient)))
+                                          for i, s in enumerate(sign)], ambient)
+                          for sign in signs])
+    if kind == "fan":
+        return fan, jio.fan_to_json, jio.fan_from_json
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        shift = tuple(draw(coord) for _ in range(ambient))
+        if draw(st.booleans()):
+            points = draw(st.lists(st.tuples(*[coord] * ambient), min_size=1, max_size=3))
+            parts.append(Polyhedron.from_generators([tuple(a + b for a, b in zip(p, shift))
+                                                     for p in points], ambient=ambient))
+        else:
+            cone = draw(st.sampled_from(fan.cones))
+            parts.append(cone.as_polyhedron().translate(shift))
+    return ExtendedComplex.from_polyhedra(fan, parts), jio.complex_to_json, \
+        jio.complex_from_json
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(encodable_values())
+def test_decode_inverts_encode(case):
+    value, to_json, from_json = case
+    roundtrip(value, to_json, from_json)
 
 
 def test_cell_vrep_strings():

@@ -464,6 +464,48 @@ def test_generator_description_matches_dd_oracle(system):
     assert unseeded.generator_description == expected
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(halfspace_systems(), st.booleans())
+@example((2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]), False)  # square
+@example((3, [((1, 0, 0), F(1, 2)), ((-1, 0, 0), F(-1, 2)), ((0, 1, 0), 2),
+              ((0, -1, 0), -2), ((0, 0, 1), 0), ((0, 0, -1), 0)]), False)  # a point
+@example((3, []), True)  # the full space
+@example((3, [((1, 1, 0), 0), ((0, 0, 1), 0)]), True)  # a wedge around a line
+@example((4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 1), ((-1, -1, 0, 0), -3)]),
+         False)  # a triangle times a plane: not pointed
+@example((3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1), ((0, 0, -1), -1)]),
+         False)  # a quadrant in the plane z = 1: unbounded, lower-dimensional
+def test_faces_match_facet_walk_oracle(system, as_cone):
+    ambient, rows = system
+    if as_cone:
+        p = Cone.from_halfspaces([(n, 0) for n, _ in rows], ambient)
+    else:
+        p = _poly(rows, ambient)
+    faces = p.faces()
+    assert faces == oracles.faces_walk(p)
+    assert all(type(f) is type(p) for f in faces)
+    for f in faces:
+        assert f.__dict__["_generators"] == _homogenized_dd(f.halfspace_pairs, ambient)
+
+
+def test_faces_run_no_dd_pass(monkeypatch):
+    polys = [_poly([((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1),
+                    ((0, 0, 1), 0), ((0, 0, -1), -1)], 3),  # the unit cube
+             _poly([((1, 0, 0), 0), ((0, 1, 0), 1), ((-1, -1, 0), -3)], 3),  # non-pointed
+             Cone.from_halfspaces([((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 1), 0)], 3)]
+    calls = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    counts = [len(p.faces()) for p in polys]
+    assert counts == [27, 7, 8]
+    assert calls == []
+
+
 @st.composite
 def ray_lists(draw):
     """(ambient, rays): up to 6 rays in Z^1..Z^4, zero rays and lines included."""
