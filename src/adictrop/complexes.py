@@ -16,12 +16,12 @@ by exact polyhedral complementation on every stratum, never by sampling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg as la
+from ._record import record
 from .errors import (FamilyNotSupported, MalformedInput, NotARefinement,
                      SupportMismatch)
 from .polyhedra import Cone, Fan, Polyhedron
@@ -66,7 +66,7 @@ def _bounds_1d(p: Polyhedron) -> tuple[Fraction | None, Fraction | None]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@record
 class Rank1Family:
     """Symbolic chain of intervals [b(n+1), b(n)] on the line.
 
@@ -216,7 +216,7 @@ def detect_accumulation(family: Rank1Family) -> Fraction | None:
     return family.limit()
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedComplex:
     """Admissible polyhedral complex with closure strata, maybe plus a family."""
 
@@ -314,14 +314,14 @@ def _extended_meets(a: ExtendedPolyhedron, b: ExtendedPolyhedron) -> bool:
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Violation:
     kind: str
     faces: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
@@ -494,7 +494,7 @@ def _prune_to_maximal(cells: Sequence[Polyhedron]) -> list[Polyhedron]:
     return [c for i, c in enumerate(unique) if i not in contained]
 
 
-@dataclass(frozen=True)
+@record
 class RefinementMap:
     """Face assignment of a refinement Δ' -> Δ: each face to the minimal
     face of the target containing it."""

@@ -13,12 +13,12 @@ binomial relations of their special fibers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
+from ._record import record
 from .complexes import ExtendedComplex, _face_sort_key
 from .errors import (DenominatorMismatch, ExponentOutsideSublattice, NonRationalPoint,
                      NotAdmissible, UnverifiedBasis, ZeroPolynomial)
@@ -31,7 +31,7 @@ IntVector = tuple[int, ...]
 
 # -- coefficients ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ValuedCoeff:
     """Finite series Σ c·t^e, exact; valuation = least exponent present."""
 
@@ -123,7 +123,7 @@ def _monomial_str(u: IntVector, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class LaurentPoly:
     """Σ a_u χ^u with exponents u ∈ ℤ^nvars and ValuedCoeff coefficients."""
 
@@ -199,7 +199,7 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class ResiduePoly:
     """Polynomial over the residue field: exponents with rational coefficients."""
 
@@ -368,7 +368,7 @@ def linearity_complex(f: LaurentPoly, fan: Fan) -> ExtendedComplex:
 
 # -- tilted algebras -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TiltedPresentation:
     """Semigroup presentation of R[M]^P at level denominators D.
 
@@ -435,7 +435,7 @@ def tilted_algebra(p: Polyhedron, denominator: int = 1) -> TiltedPresentation:
     return TiltedPresentation(p.as_polyhedron(), denominator, generators, positive)
 
 
-@dataclass(frozen=True)
+@record
 class SpecialFiberRelations:
     """Relations among generator residues modulo 𝔪.
 
@@ -479,7 +479,7 @@ def special_fiber_relations(t: TiltedPresentation) -> SpecialFiberRelations:
 
 # -- initial degenerations -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class InitialIdeal:
     """Initial forms of ideal generators at w, with provenance flags."""
 

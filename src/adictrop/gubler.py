@@ -14,11 +14,11 @@ to unions of faces (adapted models of analytic domains).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
+from ._record import record
 from .complexes import (ExtendedComplex, RefinementMap, covering_pairs,
                         is_union_of_faces, refinement_map)
 from .degeneration import (LaurentPoly, ResiduePoly, TiltedPresentation, _argmin_regions,
@@ -35,7 +35,7 @@ Vector = tuple[Fraction, ...]
 
 # -- embedding data ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EmbeddingData:
     """Defining data of a very affine subvariety of the dense torus.
 
@@ -133,7 +133,7 @@ def tropicalization_pieces(embedding: EmbeddingData, box=None) -> list[Polyhedro
 
 # -- cover decision ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CoverDecision:
     ok: bool
     witness: ExtendedPoint | None
@@ -177,7 +177,7 @@ def covers(delta: ExtendedComplex, embedding: EmbeddingData, box=None) -> CoverD
 
 # -- skeletons ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Chart:
     """One chart of the skeleton: monoid presentation + sampled initial data.
 
@@ -197,7 +197,7 @@ class Chart:
     empty: bool
 
 
-@dataclass(frozen=True)
+@record
 class GublerSkeleton:
     embedding: EmbeddingData
     denominator: int
@@ -313,7 +313,7 @@ def _skeleton_of_cover(embedding: EmbeddingData, delta: ExtendedComplex,
 
 # -- stratum enumeration -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StratumRow:
     face_index: int
     stratum: int
@@ -449,7 +449,7 @@ class _FactorContext:
         return tuple(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
+@record
 class FaceArrow:
     """Chart inclusion R[M]^P -> R[M]^P' for P' inside P, as a substitution
     table: row k expresses the k-th generator of the P-presentation as a
@@ -487,7 +487,7 @@ def _chart_arrows(finer: GublerSkeleton, coarser: GublerSkeleton,
     return tuple(arrows)
 
 
-@dataclass(frozen=True)
+@record
 class SkeletonMorphism:
     """Skeleton morphism induced by a refinement: face assignment plus one
     substitution table per source face."""

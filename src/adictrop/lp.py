@@ -1,9 +1,12 @@
 """Exact rational linear programming.
 
-A small two-phase primal simplex over `fractions.Fraction`.  Free variables
-are split into positive and negative parts; pivoting follows Bland's rule
-(lowest eligible index), which is deterministic and cycle-free.  Problem
-sizes here are tiny (desk scale), so clarity wins over speed.
+A small two-phase primal simplex.  Free variables are split into positive
+and negative parts; pivoting follows Bland's rule (lowest eligible index),
+which is deterministic and cycle-free.  Each tableau row, the cost row
+included, is a list of ints over one positive denominator, reduced by the
+gcd after each pivot, and ratios are compared by cross-multiplying: the
+tableau holds the same rationals, step for step, as a `Fraction` tableau
+would, at a tenth of the cost, so every result (points included) is the same.
 
 Constraints are given as pairs (coeffs, rhs):
 
@@ -14,61 +17,78 @@ Constraints are given as pairs (coeffs, rhs):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
+from ._record import record
+
 Constraint = tuple[Sequence[Fraction], Fraction]
+Row = tuple[list[int], int]  # the rationals ints[j] / den, den > 0
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@record
 class LPResult:
     status: str
     value: Fraction | None
     point: tuple[Fraction, ...] | None
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
-           r: int, c: int) -> None:
-    pr = rows[r]
-    inv = Fraction(1) / pr[c]
-    rows[r] = pr = [x * inv for x in pr]
+def _reduced(ints: list[int], den: int) -> Row:
+    g = gcd(den, *ints)
+    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
+
+
+def _integer_row(values: Sequence[Fraction]) -> Row:
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _eliminate(row: Row, pivot: Row, c: int) -> Row:
+    """row - row[c] * pivot, where pivot[c] is 1."""
+    (a, e), (p, d) = row, pivot
+    f = a[c]
+    return _reduced([x * d - f * y for x, y in zip(a, p)], e * d)
+
+
+def _pivot(rows: list[Row], cost: Row, basis: list[int], r: int, c: int) -> Row:
+    """Pivot on (r, c) in place; returns the new cost row."""
+    a = rows[r][0]
+    if a[c] < 0:
+        a = [-x for x in a]
+    rows[r] = pivot = _reduced(a, a[c])
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [x - f * y for x, y in zip(row, pr)]
-    if cost[c] != 0:
-        f = cost[c]
-        cost[:] = [x - f * y for x, y in zip(cost, pr)]
+        if i != r and row[0][c]:
+            rows[i] = _eliminate(row, pivot, c)
     basis[r] = c
+    return _eliminate(cost, pivot, c) if cost[0][c] else cost
 
 
-def _iterate(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
-             allowed: Sequence[bool]) -> str:
-    ncols = len(cost) - 1
+def _iterate(rows: list[Row], cost: Row, basis: list[int]) -> tuple[str, Row]:
+    ncols = len(cost[0]) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if allowed[j] and cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost[0][j] < 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, cost
+        # leaving row: least rhs / row[enter] over row[enter] > 0 (the
+        # denominators cancel), ties to the lowest basic index
         leave = -1
-        best: Fraction | None = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, (row, _) in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_b, best_a = i, row[-1], a
         if leave < 0:
-            return UNBOUNDED
-        _pivot(rows, cost, basis, leave, enter)
+            return UNBOUNDED, cost
+        cost = _pivot(rows, cost, basis, leave, enter)
 
 
 def minimize(objective: Sequence[Fraction],
@@ -81,77 +101,57 @@ def minimize(objective: Sequence[Fraction],
         ok = all(Fraction(b) <= 0 for _, b in ge) and all(Fraction(b) == 0 for _, b in eq)
         return LPResult(OPTIMAL, Fraction(0), ()) if ok else LPResult(INFEASIBLE, None, None)
 
-    # columns: x+ (n), x- (n), slacks (len(ge)); rows: ge then eq
+    # columns: x+ (n), x- (n), slacks (len(ge)), artificials (m); rows: ge then eq
     nslack = len(ge)
     ncols = 2 * n + nslack
-    rows: list[list[Fraction]] = []
+    m = nslack + len(eq)
+    rows: list[Row] = []
     for idx, (coeffs, rhs) in enumerate(list(ge) + list(eq)):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != n:
             raise ValueError("constraint arity mismatch")
-        row = coeffs + [-c for c in coeffs] + [Fraction(0)] * nslack
-        if idx < nslack:
-            row[2 * n + idx] = Fraction(-1)  # a.x - s = b, s >= 0
-        row.append(Fraction(rhs))
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-
-    m = len(rows)
+        a, den = _integer_row(coeffs + [Fraction(rhs)])
+        b = a.pop()
+        # a.x - s = b with s >= 0 for a ge row; the artificial starts basic
+        row = a + [-x for x in a] + [-den if k == idx else 0 for k in range(nslack)]
+        if b < 0:
+            row, b = [-x for x in row], -b
+        rows.append(_reduced(row + [den if k == idx else 0 for k in range(m)] + [b], den))
     basis = list(range(ncols, ncols + m))  # artificials
-    for i, row in enumerate(rows):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows[i] = row[:-1] + art + [row[-1]]
     total_cols = ncols + m
 
     # phase 1: minimize the sum of artificials
-    cost = [Fraction(0)] * (total_cols + 1)
-    for row in rows:
-        for j in range(total_cols + 1):
-            cost[j] -= row[j]
-    for j in range(ncols, total_cols):
-        cost[j] = Fraction(0)
-    allowed = [True] * total_cols
-    _iterate(rows, cost, basis, allowed)
-    if -cost[-1] != 0:
+    common = lcm(*(d for _, d in rows))
+    sums = [-sum(a[j] * (common // d) for a, d in rows) for j in range(total_cols + 1)]
+    sums[ncols:total_cols] = [0] * m
+    _, cost = _iterate(rows, _reduced(sums, common), basis)
+    if cost[0][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
-    # drive artificials out of the basis; drop rows that became redundant
-    keep: list[int] = []
+    # drive artificials out of the basis; a row where none can leave is redundant
     for i in range(m):
         if basis[i] >= ncols:
-            piv = -1
-            for j in range(ncols):
-                if rows[i][j] != 0:
-                    piv = j
-                    break
+            piv = next((j for j in range(ncols) if rows[i][0][j] != 0), -1)
             if piv >= 0:
-                _pivot(rows, cost, basis, i, piv)
-                keep.append(i)
-            # else: redundant row, dropped below
-        else:
-            keep.append(i)
-    rows = [rows[i][:ncols] + [rows[i][-1]] for i in keep]
+                cost = _pivot(rows, cost, basis, i, piv)
+    keep = [i for i in range(m) if basis[i] < ncols]
+    rows = [_reduced(rows[i][0][:ncols] + [rows[i][0][-1]], rows[i][1]) for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2: the real objective
-    obj = [Fraction(c) for c in objective]
-    full = obj + [-c for c in obj] + [Fraction(0)] * nslack
-    cost = full + [Fraction(0)]
+    obj, den = _integer_row([Fraction(c) for c in objective])
+    cost = (obj + [-c for c in obj] + [0] * (nslack + 1), den)
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost = [x - f * y for x, y in zip(cost, rows[i])]
-    allowed = [True] * ncols
-    status = _iterate(rows, cost, basis, allowed)
+        if cost[0][b] != 0:
+            cost = _eliminate(cost, rows[i], b)
+    status, cost = _iterate(rows, cost, basis)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     values = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        values[b] = rows[i][-1]
+    for (a, d), b in zip(rows, basis):
+        values[b] = Fraction(a[-1], d)
     point = tuple(values[i] - values[n + i] for i in range(n))
-    return LPResult(OPTIMAL, -cost[-1], point)
+    return LPResult(OPTIMAL, Fraction(-cost[0][-1], cost[1]), point)
 
 
 def maximize(objective: Sequence[Fraction],
@@ -178,11 +178,8 @@ def feasible_point(ge: Sequence[Constraint] = (),
         res = minimize([Fraction(0)] * n, ge, eq)
         return res.point if res.status == OPTIMAL else None
     n = len(strict[0][0])
-    ge_aug: list[Constraint] = []
-    for coeffs, rhs in ge:
-        ge_aug.append((list(coeffs) + [Fraction(0)], Fraction(rhs)))
-    for coeffs, rhs in strict:
-        ge_aug.append((list(coeffs) + [Fraction(-1)], Fraction(rhs)))
+    ge_aug = [(list(coeffs) + [Fraction(0)], Fraction(rhs)) for coeffs, rhs in ge]
+    ge_aug += [(list(coeffs) + [Fraction(-1)], Fraction(rhs)) for coeffs, rhs in strict]
     ge_aug.append(([Fraction(0)] * n + [Fraction(-1)], Fraction(-1)))  # eps <= 1
     eq_aug = [(list(coeffs) + [Fraction(0)], Fraction(rhs)) for coeffs, rhs in eq]
     objective = [Fraction(0)] * n + [Fraction(1)]

@@ -25,13 +25,13 @@ No floats anywhere: bounds are `fractions.Fraction`, normals are ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import linalg as la
+from ._record import record
 from .errors import EmptyPolyhedron, NotAFan, NotPointed
 
 Vector = tuple[Fraction, ...]
@@ -39,7 +39,7 @@ IntVector = tuple[int, ...]
 HalfSpacePair = tuple[IntVector, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class HalfSpace:
     """Closed halfspace {x : normal . x >= bound} with primitive integer normal."""
 
@@ -50,8 +50,7 @@ class HalfSpace:
         normal = tuple(int(v) for v in self.normal)
         if not normal or all(v == 0 for v in normal):
             raise ValueError("halfspace normal must be a nonzero integer vector")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "bound", la.frac(self.bound))
+        self.__dict__.update(normal=normal, bound=la.frac(self.bound))
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         return la.dot(self.normal, x)
@@ -60,7 +59,7 @@ class HalfSpace:
         return self.evaluate(x) >= self.bound
 
 
-@dataclass(frozen=True)
+@record
 class VRep:
     """Minimal V-representation of a pointed polyhedron."""
 
@@ -177,7 +176,7 @@ def _constraints(eqs: Sequence[HalfSpacePair], ineqs: Sequence[HalfSpacePair]):
     return ge, eq
 
 
-@dataclass(frozen=True)
+@record
 class Polyhedron:
     """Canonical closed rational polyhedron in Q^ambient.
 
@@ -191,11 +190,6 @@ class Polyhedron:
     is_empty: bool
     equalities: tuple[HalfSpacePair, ...]
     facets: tuple[HalfSpacePair, ...]
-
-    def __post_init__(self):
-        # subclasses refine this; defining it here makes the generated
-        # __init__ dispatch to overrides
-        pass
 
     def as_polyhedron(self) -> "Polyhedron":
         """The same point set as a plain Polyhedron (for cross-class equality)."""
@@ -212,7 +206,7 @@ class Polyhedron:
 
     @classmethod
     def _make_empty(cls, ambient: int) -> "Polyhedron":
-        return cls(ambient=ambient, is_empty=True, equalities=(), facets=())
+        return cls(ambient, True, (), ())
 
     @classmethod
     def empty(cls, ambient: int) -> "Polyhedron":
@@ -299,7 +293,7 @@ class Polyhedron:
         # facets: the tight rays and the lineality span a codimension-one face
         facets = tuple((n, b) for n, b in sorted(ineqs.items())
                        if len(lin) + la.rank(tight(n, b)) == dim - 1)
-        out = cls(ambient=ambient, is_empty=False, equalities=equalities, facets=facets)
+        out = cls(ambient, False, equalities, facets)
         out.__dict__["_generators"] = (lin, rays)  # the cache `cached_property` reads
         return out
 
@@ -326,7 +320,7 @@ class Polyhedron:
 
     @classmethod
     def full_space(cls, ambient: int) -> "Polyhedron":
-        return cls(ambient=ambient, is_empty=False, equalities=(), facets=())
+        return cls(ambient, False, (), ())
 
     @classmethod
     def single_point(cls, coords: Sequence) -> "Polyhedron":
@@ -555,6 +549,7 @@ class Polyhedron:
                 f"eq={len(self.equalities)}, facets={len(self.facets)}, dim={self.dim})")
 
 
+@record
 class Cone(Polyhedron):
     """Polyhedron whose canonical bounds are all zero."""
 
@@ -617,7 +612,7 @@ class Cone(Polyhedron):
         return not self.is_empty and self.dim == 0
 
 
-@dataclass(frozen=True)
+@record
 class AdmissibilityResult:
     ok: bool
     cone_index: int | None
@@ -627,17 +622,15 @@ class AdmissibilityResult:
         return self.ok
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """Finite fan: pointed cones, closed under faces, meeting in common faces."""
 
     ambient: int
     cones: tuple[Cone, ...]
-    _index: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _faces: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.cones)})
+        self.__dict__.update(_index={c: i for i, c in enumerate(self.cones)}, _faces={})
 
     @classmethod
     def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
@@ -658,7 +651,7 @@ class Fan:
         if not closure:
             closure.add(Cone.from_rays((), ambient))
         ordered = tuple(sorted(closure, key=lambda c: (c.dim, c.equalities, c.facets)))
-        fan = cls(ambient=ambient, cones=ordered)
+        fan = cls(ambient, ordered)
         fan.validate()
         return fan
 

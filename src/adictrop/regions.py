@@ -12,17 +12,17 @@ runs only to produce the witness point of an uncovered cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg as la
+from ._record import record
 from .polyhedra import HalfSpacePair, Polyhedron, _homogenized_dd
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     """Intersection of closed halfspaces and open halfspaces."""
 

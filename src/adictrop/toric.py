@@ -20,7 +20,6 @@ to each other by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -28,6 +27,7 @@ from math import floor
 from typing import Sequence
 
 from . import linalg as la
+from ._record import record
 from .errors import NotAdmissible, NotPointed
 from .polyhedra import Cone, Fan, Polyhedron, is_admissible
 
@@ -124,7 +124,7 @@ def hilbert_basis(cone: Cone, lattice: Sequence[Sequence] | None = None) -> tupl
     return tuple(sorted(basis_out))
 
 
-@dataclass(frozen=True)
+@record
 class SemigroupGenerators:
     """Generators of cone ∩ Z^m when the cone may have lineality.
 
@@ -171,21 +171,19 @@ def semigroup_generators(cone: Cone) -> SemigroupGenerators:
     return SemigroupGenerators(tuple(sorted(lineality_rows)), tuple(sorted(lifted)))
 
 
-@dataclass(frozen=True)
+@record
 class StratumLattice:
     """Quotient data N -> N / span(sigma) for one cone of a fan.
 
     `project` maps N_Q to the quotient coordinates; `exponent_coords`
     writes an element of M_sigma = span(sigma)^perp ∩ M in the dual basis.
     The two are dual: <u, v> = exponent_coords(u) . project(v).
+    `rank` (the dimension of sigma) and `quotient_rank` are set on
+    construction; they are not fields.
     """
 
     fan: Fan
     cone_index: int
-    rank: int = field(init=False, compare=False)
-    quotient_rank: int = field(init=False, compare=False)
-    _t: tuple = field(init=False, compare=False, repr=False)
-    _w: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cone = self.fan.cones[self.cone_index]
@@ -197,11 +195,7 @@ class StratumLattice:
         else:
             t = la.identity_int(m)
             r = 0
-        w = la.invert_unimodular(t)
-        object.__setattr__(self, "rank", r)
-        object.__setattr__(self, "quotient_rank", m - r)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_w", w)
+        self.__dict__.update(rank=r, quotient_rank=m - r, _t=t, _w=la.invert_unimodular(t))
 
     @property
     def cone(self) -> Cone:
@@ -235,7 +229,7 @@ def stratum_lattice(fan: Fan, cone_index: int) -> StratumLattice:
     return StratumLattice(fan, cone_index)
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedPoint:
     """A point of the extended tropicalization: stratum index + quotient coords."""
 
@@ -243,10 +237,10 @@ class ExtendedPoint:
     coords: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", la.vec(self.coords))
+        self.__dict__["coords"] = la.vec(self.coords)
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedPolyhedron:
     """Closure of an admissible polyhedron across boundary strata.
 

@@ -12,7 +12,9 @@ feasibility LP, a cell with strict rows is empty iff its strict-feasibility
 LP fails, and the corner locus is reconstructed from a grid scan.
 Only the exact LP core, RREF and the
 normalization of single inequalities are shared with the library (they are
-unit-tested on their own).
+unit-tested on their own; the LP also against `fraction_minimize`, the
+textbook simplex on `Fraction` tableaux that the library's integer-row
+simplex replaced).
 
 Four oracles keep the library's earlier implementations, which ran their
 own passes instead of reading the generators kept by canonicalization: a
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from adictrop import linalg as la
 from adictrop import lp
@@ -391,3 +394,169 @@ def cell_is_empty_lp(cell) -> bool:
     if not ge and not st:
         return False
     return lp.feasible_point(ge=ge, strict=st) is None
+
+
+# -- the textbook exact simplex, on Fraction tableaux --------------------------
+# The library's `lp` ran this before its tableau rows became integers; it is
+# kept as the oracle that the integer rows must match step for step.  The
+# code is unchanged but for the `fraction_` names.
+
+def _fraction_pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
+                    r: int, c: int) -> None:
+    pr = rows[r]
+    inv = Fraction(1) / pr[c]
+    rows[r] = pr = [x * inv for x in pr]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [x - f * y for x, y in zip(row, pr)]
+    if cost[c] != 0:
+        f = cost[c]
+        cost[:] = [x - f * y for x, y in zip(cost, pr)]
+    basis[r] = c
+
+
+def _fraction_iterate(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
+                      allowed: Sequence[bool]) -> str:
+    ncols = len(cost) - 1
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if allowed[j] and cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return lp.OPTIMAL
+        leave = -1
+        best: Fraction | None = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return lp.UNBOUNDED
+        _fraction_pivot(rows, cost, basis, leave, enter)
+
+
+def fraction_minimize(objective: Sequence[Fraction],
+                      ge: Sequence[lp.Constraint] = (),
+                      eq: Sequence[lp.Constraint] = ()) -> lp.LPResult:
+    """Minimize objective . x over {x free : ge and eq constraints}."""
+    n = len(objective)
+    # constraints with no variables degenerate to sign checks on the rhs
+    if n == 0:
+        ok = all(Fraction(b) <= 0 for _, b in ge) and all(Fraction(b) == 0 for _, b in eq)
+        return (lp.LPResult(lp.OPTIMAL, Fraction(0), ()) if ok
+                else lp.LPResult(lp.INFEASIBLE, None, None))
+
+    # columns: x+ (n), x- (n), slacks (len(ge)); rows: ge then eq
+    nslack = len(ge)
+    ncols = 2 * n + nslack
+    rows: list[list[Fraction]] = []
+    for idx, (coeffs, rhs) in enumerate(list(ge) + list(eq)):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != n:
+            raise ValueError("constraint arity mismatch")
+        row = coeffs + [-c for c in coeffs] + [Fraction(0)] * nslack
+        if idx < nslack:
+            row[2 * n + idx] = Fraction(-1)  # a.x - s = b, s >= 0
+        row.append(Fraction(rhs))
+        if row[-1] < 0:
+            row = [-x for x in row]
+        rows.append(row)
+
+    m = len(rows)
+    basis = list(range(ncols, ncols + m))  # artificials
+    for i, row in enumerate(rows):
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        rows[i] = row[:-1] + art + [row[-1]]
+    total_cols = ncols + m
+
+    # phase 1: minimize the sum of artificials
+    cost = [Fraction(0)] * (total_cols + 1)
+    for row in rows:
+        for j in range(total_cols + 1):
+            cost[j] -= row[j]
+    for j in range(ncols, total_cols):
+        cost[j] = Fraction(0)
+    allowed = [True] * total_cols
+    _fraction_iterate(rows, cost, basis, allowed)
+    if -cost[-1] != 0:
+        return lp.LPResult(lp.INFEASIBLE, None, None)
+
+    # drive artificials out of the basis; drop rows that became redundant
+    keep: list[int] = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            piv = -1
+            for j in range(ncols):
+                if rows[i][j] != 0:
+                    piv = j
+                    break
+            if piv >= 0:
+                _fraction_pivot(rows, cost, basis, i, piv)
+                keep.append(i)
+            # else: redundant row, dropped below
+        else:
+            keep.append(i)
+    rows = [rows[i][:ncols] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # phase 2: the real objective
+    obj = [Fraction(c) for c in objective]
+    full = obj + [-c for c in obj] + [Fraction(0)] * nslack
+    cost = full + [Fraction(0)]
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            f = cost[b]
+            cost = [x - f * y for x, y in zip(cost, rows[i])]
+    allowed = [True] * ncols
+    status = _fraction_iterate(rows, cost, basis, allowed)
+    if status == lp.UNBOUNDED:
+        return lp.LPResult(lp.UNBOUNDED, None, None)
+    values = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        values[b] = rows[i][-1]
+    point = tuple(values[i] - values[n + i] for i in range(n))
+    return lp.LPResult(lp.OPTIMAL, -cost[-1], point)
+
+
+def fraction_maximize(objective: Sequence[Fraction],
+                      ge: Sequence[lp.Constraint] = (),
+                      eq: Sequence[lp.Constraint] = ()) -> lp.LPResult:
+    res = fraction_minimize([-Fraction(c) for c in objective], ge, eq)
+    if res.status != lp.OPTIMAL:
+        return res
+    return lp.LPResult(lp.OPTIMAL, -res.value, res.point)
+
+
+def fraction_feasible_point(ge: Sequence[lp.Constraint] = (),
+                            eq: Sequence[lp.Constraint] = (),
+                            strict: Sequence[lp.Constraint] = ()) -> tuple[Fraction, ...] | None:
+    """A rational point satisfying all constraints, or None.
+
+    Strict constraints are handled exactly: maximize epsilon subject to
+    coeffs . x - epsilon >= rhs and epsilon <= 1; the system is strictly
+    feasible iff the optimum is positive.
+    """
+    strict = list(strict)
+    if not strict:
+        n = len(ge[0][0]) if ge else (len(eq[0][0]) if eq else 0)
+        res = fraction_minimize([Fraction(0)] * n, ge, eq)
+        return res.point if res.status == lp.OPTIMAL else None
+    n = len(strict[0][0])
+    ge_aug: list[lp.Constraint] = []
+    for coeffs, rhs in ge:
+        ge_aug.append((list(coeffs) + [Fraction(0)], Fraction(rhs)))
+    for coeffs, rhs in strict:
+        ge_aug.append((list(coeffs) + [Fraction(-1)], Fraction(rhs)))
+    ge_aug.append(([Fraction(0)] * n + [Fraction(-1)], Fraction(-1)))  # eps <= 1
+    eq_aug = [(list(coeffs) + [Fraction(0)], Fraction(rhs)) for coeffs, rhs in eq]
+    objective = [Fraction(0)] * n + [Fraction(1)]
+    res = fraction_maximize(objective, ge_aug, eq_aug)
+    if res.status != lp.OPTIMAL or res.value <= 0:
+        return None
+    return res.point[:n]

@@ -40,7 +40,8 @@ _PROBE = """
 import json, sys
 from adictrop.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m.startswith("adictrop"))
+loaded = sorted(m for m in sys.modules
+                if m.startswith("adictrop") or m in ("dataclasses", "inspect"))
 sys.stderr.write("\\n" + json.dumps({"code": code, "modules": loaded}) + "\\n")
 """
 
@@ -52,20 +53,31 @@ def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+EMBEDDING, STAR = str(DATA / "line_embedding.json"), str(DATA / "star_complex.json")
+LINE_0, LINE_01 = str(DATA / "line_cut_at_0.json"), str(DATA / "line_cut_at_0_and_1.json")
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["check", str(DATA / "harmonic_family.json")], {"gubler", "degeneration", "parsing"}),
-    (["refine", str(DATA / "line_cut_at_0.json"), str(DATA / "line_cut_at_0_and_1.json")],
-     {"gubler", "degeneration", "parsing"}),
+    (["refine", LINE_0, LINE_01], {"gubler", "degeneration", "parsing"}),
     (["tilted", str(DATA / "unit_interval.json")], {"gubler"}),
     (["trop", "x + y + 1", "--box=-3,3,-3,3"], {"gubler"}),
     (["initial", "x + y + 1", "--point", "0,0"], {"gubler"}),
-], ids=["check", "refine", "tilted", "trop", "initial"])
+    (["skeleton", "--embedding", EMBEDDING, "--complex", STAR], set()),
+    (["morphism", "--embedding", str(DATA / "torus_line_embedding.json"),
+      "--fine", LINE_01, "--coarse", LINE_0], set()),
+    (["adapt", "--embedding", EMBEDDING, "--complex", STAR,
+      "--pieces", str(DATA / "ray_pieces.json")], set()),
+], ids=["check", "refine", "tilted", "trop", "initial", "skeleton", "morphism", "adapt"])
 def test_subcommand_leaves_modules_unloaded(argv, absent):
+    """Each subcommand loads only the modules it needs, and none loads
+    `dataclasses` or `inspect`: the library's records are built without them."""
     run = _fresh(_PROBE, *argv)
     report = json.loads(run.stderr.strip().splitlines()[-1])
     assert report["code"] in (0, 2), run.stderr
     assert run.stdout
     assert not {f"adictrop.{m}" for m in absent} & set(report["modules"])
+    assert not {"dataclasses", "inspect"} & set(report["modules"])
 
 
 def test_every_export_imports_by_name():
