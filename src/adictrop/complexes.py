@@ -24,7 +24,7 @@ from . import linalg as la
 from ._record import record
 from .errors import (FamilyNotSupported, MalformedInput, NotARefinement,
                      SupportMismatch)
-from .polyhedra import Cone, Fan, Polyhedron
+from .polyhedra import Fan, Polyhedron, _face_sort_key
 from .regions import is_covered, same_support
 from .toric import ExtendedPoint, ExtendedPolyhedron, closure_strata, stratum_lattice
 
@@ -226,8 +226,7 @@ class ExtendedComplex:
 
     @classmethod
     def from_polyhedra(cls, fan: Fan, polyhedra: Iterable[Polyhedron],
-                       family: Rank1Family | None = None,
-                       close: bool = True) -> "ExtendedComplex":
+                       family: Rank1Family | None = None) -> "ExtendedComplex":
         """Canonical complex from finite parts; face-closes and dedupes.
 
         Raises NotAdmissible when a face's recession cone is not in the fan.
@@ -242,9 +241,8 @@ class ExtendedComplex:
             if p in parts:
                 continue
             parts[p] = None
-            if close:
-                for f in p.faces():
-                    parts.setdefault(f.as_polyhedron(), None)
+            for f in p.faces():
+                parts.setdefault(f.as_polyhedron(), None)
         ordered = sorted(parts, key=_face_sort_key)
         return cls(fan, tuple(closure_strata(p, fan) for p in ordered), family)
 
@@ -278,10 +276,6 @@ class ExtendedComplex:
 
     def __len__(self):
         return len(self.faces)
-
-
-def _face_sort_key(p: Polyhedron):
-    return (p.dim, p.equalities, p.facets)
 
 
 def containment_pairs(parts: Sequence[Polyhedron]) -> list[tuple[int, int]]:
@@ -395,51 +389,39 @@ def validate_complex(fan: Fan, polyhedra: Sequence[Polyhedron],
 
 # -- support and completeness ----------------------------------------------------
 
-def _dense_index(delta: ExtendedComplex) -> int:
-    idx = delta.fan.index_of(Cone.zero(delta.fan.ambient))
-    assert idx is not None
-    return idx
-
-
 def support_contains(delta: ExtendedComplex, x) -> bool:
     """Is the (extended) point in the union of the faces?
 
-    Plain coordinate sequences are interpreted in the dense stratum.
-    Family membership is decided symbolically from the breakpoint rule.
+    Plain coordinate sequences are interpreted in the dense stratum, where
+    family membership is decided symbolically from the breakpoint rule.
     """
+    zero = delta.fan.zero_index
     if not isinstance(x, ExtendedPoint):
-        x = ExtendedPoint(_dense_index(delta), la.vec(x))
-    if x.stratum == _dense_index(delta):
-        if any(f.finite_part.contains(x.coords) for f in delta.faces):
-            return True
-        return delta.family is not None and delta.family.contains(x.coords[0])
+        x = ExtendedPoint(zero, la.vec(x))
     for f in delta.faces:
         piece = f.stratum(x.stratum)
         if piece is not None and piece.contains(x.coords):
             return True
-    return False
+    return x.stratum == zero and delta.family is not None and delta.family.contains(x.coords[0])
 
 
-def is_complete(delta: ExtendedComplex, fan: Fan | None = None) -> bool:
+def is_complete(delta: ExtendedComplex) -> bool:
     """Do the faces cover the whole extended space, stratum by stratum?
 
     Exact: the complement of the union is computed recursively on every
-    stratum of the fan and checked empty.
+    stratum of the fan and checked empty.  A family lives in the torus.
     """
-    fan = delta.fan if fan is None else fan
-    parts = list(delta.finite_parts)
+    fan, family = delta.fan, []
     if delta.family is not None:
         if delta.family.n_max is None:
             raise FamilyNotSupported("completeness is undecidable for infinite families")
-        parts += delta.family.materialized()
+        family = delta.family.materialized()
     for idx in range(len(fan.cones)):
-        sl = stratum_lattice(fan, idx)
-        if sl.rank == 0:
-            pieces = parts
-        else:
-            pieces = [piece for f in delta.faces
-                      for i, piece in f.strata if i == idx]
-        if not is_covered(Polyhedron.full_space(sl.quotient_rank), pieces):
+        pieces = [piece for f in delta.faces for i, piece in f.strata if i == idx]
+        if idx == fan.zero_index:
+            pieces += family
+        space = Polyhedron.full_space(stratum_lattice(fan, idx).quotient_rank)
+        if not is_covered(space, pieces):
             return False
     return True
 
@@ -485,7 +467,7 @@ def common_refinement(*deltas: ExtendedComplex) -> ExtendedComplex:
         incoming = [d.finite_parts[i] for i in d.maximal_face_indices()]
         cells = [p.intersection(q) for p in current for q in incoming]
         current = _prune_to_maximal([c for c in cells if not c.is_empty])
-    return ExtendedComplex.from_polyhedra(first.fan, current, close=True)
+    return ExtendedComplex.from_polyhedra(first.fan, current)
 
 
 def _prune_to_maximal(cells: Sequence[Polyhedron]) -> list[Polyhedron]:

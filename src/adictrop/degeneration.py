@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
 from ._record import record
-from .complexes import ExtendedComplex, _face_sort_key
-from .errors import (DenominatorMismatch, ExponentOutsideSublattice, NonRationalPoint,
-                     NotAdmissible, UnverifiedBasis, ZeroPolynomial)
-from .polyhedra import Cone, Fan, Polyhedron
+from .complexes import ExtendedComplex
+from .errors import (BasisNotAsserted, DenominatorMismatch, ExponentOutsideSublattice,
+                     NonRationalPoint, NotAdmissible, UnverifiedBasis, ZeroPolynomial)
+from .polyhedra import Cone, Fan, Polyhedron, _face_sort_key
 from .toric import ExtendedPoint, StratumLattice, semigroup_generators
 
 Vector = tuple[Fraction, ...]
@@ -363,7 +363,7 @@ def linearity_complex(f: LaurentPoly, fan: Fan) -> ExtendedComplex:
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no linearity complex")
-    return ExtendedComplex.from_polyhedra(fan, _argmin_regions(f, 1, []), close=True)
+    return ExtendedComplex.from_polyhedra(fan, _argmin_regions(f, 1, []))
 
 
 # -- tilted algebras -----------------------------------------------------------------
@@ -488,6 +488,16 @@ class InitialIdeal:
     basis_asserted: bool
 
 
+def _require_asserted_basis(count: int, asserted: bool):
+    """Refuse several generators unless asserted to be a tropical basis,
+    and warn that the assertion is not verified."""
+    if count > 1:
+        if not asserted:
+            raise BasisNotAsserted("multiple generators require tropical_basis_asserted=True")
+        warnings.warn("tropical-basis property of the generator list is asserted, "
+                      "not verified", UnverifiedBasis, stacklevel=3)
+
+
 def initial_degeneration_ideal(gens: Sequence[LaurentPoly], w,
                                tropical_basis_asserted: bool = False) -> InitialIdeal:
     """Initial forms of the given generators at w.
@@ -500,11 +510,7 @@ def initial_degeneration_ideal(gens: Sequence[LaurentPoly], w,
     gens = list(gens)
     if not gens:
         raise ZeroPolynomial("no generators given")
-    if len(gens) > 1:
-        if not tropical_basis_asserted:
-            raise ValueError("multiple generators require tropical_basis_asserted=True")
-        warnings.warn("tropical-basis property of the generator list is asserted, "
-                      "not verified", UnverifiedBasis, stacklevel=2)
+    _require_asserted_basis(len(gens), tropical_basis_asserted)
     return InitialIdeal(tuple(initial_form(g, w) for g in gens),
                         len(gens) == 1, tropical_basis_asserted)
 
@@ -520,11 +526,15 @@ def initial_form_on_stratum(f: LaurentPoly, x: ExtendedPoint,
     if f.is_zero:
         raise ZeroPolynomial("cannot take the initial form of zero")
     w = _rational_point(x.coords, lattice.quotient_rank)
+    return initial_form(_quotient_poly(f, lattice), w)
+
+
+def _quotient_poly(f: LaurentPoly, lattice: StratumLattice) -> LaurentPoly:
+    """f with its exponents, which must lie in M_σ, in the chosen basis of M_σ."""
     rewritten = []
     for u, a in f.terms:
         if not lattice.contains_exponent(u):
             raise ExponentOutsideSublattice(
                 f"exponent {u} does not lie in the sublattice of the stratum")
         rewritten.append((lattice.exponent_coords(u), a))
-    g = LaurentPoly.of(lattice.quotient_rank, rewritten)
-    return initial_form(g, w)
+    return LaurentPoly.of(lattice.quotient_rank, rewritten)

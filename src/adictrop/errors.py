@@ -25,6 +25,10 @@ class MalformedInput(AdictropError):
     kind = "malformed-input"
 
 
+class MalformedEmbedding(MalformedInput, ValueError):
+    """Embedding generators or stratum indices that do not fit the fan."""
+
+
 class DomainError(AdictropError):
     """Well-formed input that violates a mathematical precondition."""
 
@@ -73,6 +77,12 @@ class NonRationalPoint(DomainError):
 
 class ExponentOutsideSublattice(DomainError):
     kind = "exponent-outside-sublattice"
+
+
+class BasisNotAsserted(DomainError, ValueError):
+    """Several generators without `tropical_basis_asserted`."""
+
+    kind = "basis-not-asserted"
 
 
 class NotACover(DomainError):

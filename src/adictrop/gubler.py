@@ -1,19 +1,21 @@
 """Combinatorial skeletons of integral models glued from tilted algebras.
 
 A finite admissible complex Δ covering the tropicalization of a very
-affine variety cut out by `EmbeddingData` yields one chart per face: the
-tilted presentation of the monomials integral on that face, together with
-the initial forms of the defining equations at a deterministic sample
-point in the face's relative interior.  Charts glue along the face poset;
-refinements of Δ induce morphisms given by exponent-level substitution
-tables.  The module also enumerates the non-empty strata (the desk-scale
-shadow of the adic tropicalization's point set) and restricts skeletons
-to unions of faces (adapted models of analytic domains).
+affine variety cut out by `EmbeddingData` yields one chart per face and
+stratum: the tilted presentation of the monomials integral on the face's
+piece in that stratum, together with the initial forms of the stratum's
+equations at a deterministic sample point in the piece's relative
+interior.  The torus is the stratum of the zero cone: charts and cover
+checks treat it like every other stratum.  Charts glue along the face
+poset; refinements of Δ induce morphisms given by exponent-level
+substitution tables.  The module also enumerates the non-empty strata
+(the desk-scale shadow of the adic tropicalization's point set) and
+restricts skeletons to unions of faces (adapted models of analytic
+domains).
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -22,11 +24,11 @@ from ._record import record
 from .complexes import (ExtendedComplex, RefinementMap, covering_pairs,
                         is_union_of_faces, refinement_map)
 from .degeneration import (LaurentPoly, ResiduePoly, TiltedPresentation, _argmin_regions,
-                           _box_halfspaces, hypersurface_trop, initial_form,
-                           initial_form_on_stratum, tilted_algebra)
+                           _box_halfspaces, _quotient_poly, _require_asserted_basis,
+                           hypersurface_trop, initial_form, tilted_algebra)
 from .errors import (EmbeddingMismatch, ExponentOutsideSublattice, FamilyNotSupported,
-                     NotACover, UnverifiedBasis, ZeroPolynomial)
-from .polyhedra import Cone, Fan, Polyhedron
+                     MalformedEmbedding, NotACover, ZeroPolynomial)
+from .polyhedra import Fan, Polyhedron
 from .regions import uncovered_witness
 from .toric import ExtendedPoint, stratum_lattice
 
@@ -42,8 +44,10 @@ class EmbeddingData:
     `generators` cut out the intersection with the torus; an empty tuple
     means the torus itself.  Lists longer than one are only meaningful
     with `tropical_basis_asserted` (the artifact cannot verify the basis
-    property).  `stratum_ideals` optionally supplies generator lists with
-    exponents in M_sigma for boundary strata, keyed by fan cone index.
+    property).  `stratum_ideals` optionally supplies generator lists for
+    boundary strata, keyed by the index of a nonzero fan cone sigma, with
+    exponents in M_sigma.  An empty list means the whole stratum; strata
+    without an entry are not evaluated.
     """
 
     fan: Fan
@@ -61,42 +65,38 @@ class EmbeddingData:
         return cls(fan, tuple(generators), tropical_basis_asserted, ideals)
 
     def __post_init__(self):
-        n = self.fan.ambient
+        n, zero = self.fan.ambient, self.fan.zero_index
         for g in self.generators:
             if g.is_zero:
                 raise ZeroPolynomial("embedding generators must be nonzero")
             if g.nvars != n:
-                raise ValueError("generator rank does not match the fan")
+                raise MalformedEmbedding("generator rank does not match the fan")
+        ideals = {zero: self.generators}
         for idx, gens in self.stratum_ideals:
+            if idx not in range(len(self.fan.cones)) or idx == zero:
+                raise MalformedEmbedding(
+                    f"stratum ideal index {idx} is not a nonzero cone of the fan")
             lattice = stratum_lattice(self.fan, idx)
             for g in gens:
                 if g.is_zero:
                     raise ZeroPolynomial("stratum ideal generators must be nonzero")
                 if g.nvars != n:
-                    raise ValueError("stratum generator rank does not match the fan")
+                    raise MalformedEmbedding("stratum generator rank does not match the fan")
                 for u in g.support:
                     if not lattice.contains_exponent(u):
                         raise ExponentOutsideSublattice(
                             f"stratum ideal exponent {u} is not in M_sigma")
+            ideals[idx] = tuple(_quotient_poly(g, lattice) for g in gens)
+        self.__dict__["_ideals"] = ideals
 
     @property
     def principal(self) -> bool:
         return len(self.generators) == 1
 
-    def stratum_generators(self, cone_index: int) -> tuple[LaurentPoly, ...]:
-        for idx, gens in self.stratum_ideals:
-            if idx == cone_index:
-                return gens
-        return ()
-
-
-def _warn_if_asserted(embedding: EmbeddingData):
-    if len(embedding.generators) > 1:
-        if not embedding.tropical_basis_asserted:
-            raise ValueError(
-                "multiple generators require tropical_basis_asserted=True")
-        warnings.warn("tropical-basis property of the generator list is asserted, "
-                      "not verified", UnverifiedBasis, stacklevel=3)
+    def ideal(self, cone_index: int) -> tuple[LaurentPoly, ...] | None:
+        """The stratum's generators in quotient coordinates (`generators` on
+        the torus); None where no ideal is supplied."""
+        return self._ideals.get(cone_index)
 
 
 def _intersect_loci(loci: Sequence[Sequence[Polyhedron]]) -> list[Polyhedron]:
@@ -112,23 +112,22 @@ def _intersect_loci(loci: Sequence[Sequence[Polyhedron]]) -> list[Polyhedron]:
     return pieces
 
 
-def _quotient_poly(g: LaurentPoly, lattice) -> LaurentPoly:
-    terms = [(lattice.exponent_coords(u), a) for u, a in g.terms]
-    return LaurentPoly.of(lattice.quotient_rank, terms)
+def _locus(gens: Sequence[LaurentPoly], rank: int, box=None) -> list[Polyhedron]:
+    """Pieces of the intersection of the corner loci of `gens` in Q^rank,
+    clipped to `box`; the whole space (or the box) when there are none."""
+    if not gens:
+        return [Polyhedron.from_halfspaces([] if box is None else _box_halfspaces(box, rank),
+                                           rank)]
+    loci = [hypersurface_trop(f, box) for f in gens]
+    if any(not locus for locus in loci):
+        return []
+    return _intersect_loci(loci)
 
 
 def tropicalization_pieces(embedding: EmbeddingData, box=None) -> list[Polyhedron]:
     """Finite-part support of Trop: corner locus (or its intersection for
     asserted bases); the whole space for the torus."""
-    n = embedding.fan.ambient
-    if not embedding.generators:
-        if box is None:
-            return [Polyhedron.from_halfspaces([], n)]
-        return [Polyhedron.from_halfspaces(_box_halfspaces(box, n), n)]
-    loci = [hypersurface_trop(f, box) for f in embedding.generators]
-    if any(not locus for locus in loci):
-        return []
-    return _intersect_loci(loci)
+    return _locus(embedding.generators, embedding.fan.ambient, box)
 
 
 # -- cover decision ---------------------------------------------------------------
@@ -142,34 +141,26 @@ class CoverDecision:
 def covers(delta: ExtendedComplex, embedding: EmbeddingData, box=None) -> CoverDecision:
     """Does |Δ| contain the tropicalization (clipped to `box` when given)?
 
-    Checks the finite part against the faces of Δ and every supplied
-    boundary-stratum locus against Δ's strata.  The witness, if any, is an
-    extended point outside |Δ|.
+    Checks the locus of the torus (the zero cone's stratum) and then of
+    every supplied boundary stratum against Δ's pieces in that stratum;
+    the box clips only the torus.  The witness, if any, is an extended
+    point outside |Δ|.
     """
     if not delta.is_finite:
         raise FamilyNotSupported("cover checks need a finite complex")
-    if delta.fan != embedding.fan:
+    fan = delta.fan
+    if fan != embedding.fan:
         raise EmbeddingMismatch("complex and embedding use different fans")
-    _warn_if_asserted(embedding)
-    n = delta.fan.ambient
-    zero_idx = delta.fan.index_of(Cone.zero(n))
-    pieces = tropicalization_pieces(embedding, box)
+    _require_asserted_basis(len(embedding.generators), embedding.tropical_basis_asserted)
     # Maximal faces suffice: complexes are face-closed, and a face of a
     # contained fan cone is a face of the containing one, so the union of
     # strata over maximal faces equals the union over all faces.
     maximal = delta.maximal_face_indices()
-    w = uncovered_witness(pieces, [delta.finite_parts[i] for i in maximal])
-    if w is not None:
-        return CoverDecision(False, ExtendedPoint(zero_idx, w))
-    for idx, gens in embedding.stratum_ideals:
-        lattice = stratum_lattice(delta.fan, idx)
-        quotient_gens = [_quotient_poly(g, lattice) for g in gens]
-        loci = [hypersurface_trop(g, None) for g in quotient_gens]
-        if any(not locus for locus in loci):
-            continue
-        strata_pieces = [piece for i in maximal
-                         for s, piece in delta.faces[i].strata if s == idx]
-        w = uncovered_witness(_intersect_loci(loci), strata_pieces)
+    for idx in (fan.zero_index, *(idx for idx, _ in embedding.stratum_ideals)):
+        pieces = _locus(embedding.ideal(idx), stratum_lattice(fan, idx).quotient_rank,
+                        box if idx == fan.zero_index else None)
+        cover = [piece for i in maximal for s, piece in delta.faces[i].strata if s == idx]
+        w = uncovered_witness(pieces, cover)
         if w is not None:
             return CoverDecision(False, ExtendedPoint(idx, w))
     return CoverDecision(True, None)
@@ -183,8 +174,8 @@ class Chart:
 
     `stratum` is the fan cone index (the zero cone for finite charts);
     `piece` is the face itself or its projection to the stratum quotient.
-    Boundary charts are `evaluated` only when the embedding supplies a
-    stratum ideal there.
+    A chart is `evaluated` when the embedding gives an ideal on its
+    stratum (always on the torus).
     """
 
     face_index: int
@@ -205,17 +196,11 @@ class GublerSkeleton:
     charts: tuple[Chart, ...]
     gluing: tuple[tuple[int, int], ...]
 
-    @property
-    def stratum_table(self) -> tuple[tuple[tuple[int, int], tuple[ResiduePoly, ...], bool], ...]:
-        return tuple(((c.face_index, c.stratum), c.forms, c.empty) for c in self.charts)
-
     def finite_charts(self) -> tuple[Chart, ...]:
-        zero_idx = self.complex.fan.index_of(Cone.zero(self.complex.fan.ambient))
-        return tuple(c for c in self.charts if c.stratum == zero_idx)
+        return tuple(c for c in self.charts if c.stratum == self.complex.fan.zero_index)
 
     def chart_at(self, face_index: int, stratum: int | None = None) -> Chart:
-        zero_idx = self.complex.fan.index_of(Cone.zero(self.complex.fan.ambient))
-        stratum = zero_idx if stratum is None else stratum
+        stratum = self.complex.fan.zero_index if stratum is None else stratum
         for c in self.charts:
             if c.face_index == face_index and c.stratum == stratum:
                 return c
@@ -247,7 +232,7 @@ def _subdivide_by_linearity(delta: ExtendedComplex, f: LaurentPoly) -> ExtendedC
             piece = face.intersection(cell)
             if not piece.is_empty:
                 pieces[piece] = None
-    return ExtendedComplex.from_polyhedra(delta.fan, list(pieces), close=True)
+    return ExtendedComplex.from_polyhedra(delta.fan, list(pieces))
 
 
 def build_skeleton(embedding: EmbeddingData, delta: ExtendedComplex,
@@ -256,9 +241,9 @@ def build_skeleton(embedding: EmbeddingData, delta: ExtendedComplex,
 
     Principal embeddings refine Δ by the linearity regions of the
     generator first, so initial forms are constant per relative interior;
-    asserted bases are sampled (optionally twice).  Boundary charts carry
-    the tilted presentation of the projected face, with initial forms
-    where stratum ideals are supplied.
+    asserted bases are sampled (optionally twice).  Every chart carries
+    the tilted presentation of its piece, with the initial forms of its
+    stratum's ideal where one is given.
     """
     decision = covers(delta, embedding)
     if not decision.ok:
@@ -272,41 +257,20 @@ def _skeleton_of_cover(embedding: EmbeddingData, delta: ExtendedComplex,
     work = delta
     if embedding.principal:
         work = _subdivide_by_linearity(delta, embedding.generators[0])
-    fan = work.fan
-    n = fan.ambient
-    zero_idx = fan.index_of(Cone.zero(n))
     charts: list[Chart] = []
     for i, ext in enumerate(work.faces):
         for stratum, piece in ext.strata:
-            if stratum == zero_idx:
-                sample = piece.relative_interior_point()
-                forms = tuple(initial_form(g, sample) for g in embedding.generators)
-                evaluated = True
-            else:
-                gens = embedding.stratum_generators(stratum)
-                sample = piece.relative_interior_point()
-                lattice = stratum_lattice(fan, stratum)
-                forms = tuple(initial_form_on_stratum(g, ExtendedPoint(stratum, sample),
-                                                      lattice) for g in gens)
-                evaluated = bool(gens)
-            if validate_samples and evaluated and forms:
+            gens = embedding.ideal(stratum)
+            sample = piece.relative_interior_point()
+            forms = () if gens is None else tuple(initial_form(g, sample) for g in gens)
+            if validate_samples and forms:
                 again = _second_sample(piece, sample)
-                if again is not None:
-                    if stratum == zero_idx:
-                        check = tuple(initial_form(g, again)
-                                      for g in embedding.generators)
-                    else:
-                        check = tuple(
-                            initial_form_on_stratum(g, ExtendedPoint(stratum, again),
-                                                    stratum_lattice(fan, stratum))
-                            for g in embedding.stratum_generators(stratum))
-                    if check != forms:
-                        raise NotACover(
-                            f"initial forms not constant on face {i}, stratum "
-                            f"{stratum}: refine the complex")
-            empty = evaluated and bool(forms) and all(fm.is_monomial for fm in forms)
+                if again is not None and tuple(initial_form(g, again) for g in gens) != forms:
+                    raise NotACover(f"initial forms not constant on face {i}, stratum "
+                                    f"{stratum}: refine the complex")
+            empty = bool(forms) and all(fm.is_monomial for fm in forms)
             charts.append(Chart(i, stratum, piece, tilted_algebra(piece, denominator),
-                                sample, forms, evaluated, empty))
+                                sample, forms, gens is not None, empty))
     charts.sort(key=lambda c: (c.face_index, c.stratum))
     return GublerSkeleton(embedding, denominator, work, tuple(charts), work.containment)
 

@@ -176,6 +176,11 @@ def _constraints(eqs: Sequence[HalfSpacePair], ineqs: Sequence[HalfSpacePair]):
     return ge, eq
 
 
+def _face_sort_key(p: "Polyhedron"):
+    """Canonical order of faces: by dimension, then by the canonical rows."""
+    return (p.dim, p.equalities, p.facets)
+
+
 @record
 class Polyhedron:
     """Canonical closed rational polyhedron in Q^ambient.
@@ -205,12 +210,8 @@ class Polyhedron:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _make_empty(cls, ambient: int) -> "Polyhedron":
-        return cls(ambient, True, (), ())
-
-    @classmethod
     def empty(cls, ambient: int) -> "Polyhedron":
-        return cls._make_empty(ambient)
+        return cls(ambient, True, (), ())
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Iterable, ambient: int) -> "Polyhedron":
@@ -241,7 +242,7 @@ class Polyhedron:
                 if p is not None:
                     pairs.append(p)
         except EmptyPolyhedron:
-            return cls._make_empty(ambient)
+            return cls.empty(ambient)
 
         # drop weaker duplicates
         best: dict[IntVector, Fraction] = {}
@@ -256,7 +257,7 @@ class Polyhedron:
         """`from_halfspaces` of normalized `pairs` with distinct normals, given
         their `_homogenized_dd` (lin, rays); kept as `_generators`."""
         if all(r[ambient] == 0 for r in rays):
-            return cls._make_empty(ambient)
+            return cls.empty(ambient)
         dim = len(lin) + la.rank(rays)
 
         def tight(n, b):
@@ -308,7 +309,7 @@ class Polyhedron:
                 raise ValueError("ambient rank required for generatorless input")
             ambient = len(vertices[0]) if vertices else len(rays[0])
         if not vertices:
-            return cls._make_empty(ambient)
+            return cls.empty(ambient)
         dual_normals = [la.primitive(tuple(v) + (Fraction(1),)) for v in vertices]
         dual_normals += [la.primitive(tuple(r) + (Fraction(0),)) for r in rays if not la.is_zero_vector(r)]
         lin, drs = _dd_cone(sorted(set(dual_normals)), ambient + 1)
@@ -337,10 +338,6 @@ class Polyhedron:
             pairs.append((n, b))
             pairs.append((tuple(-v for v in n), -b))
         return tuple(sorted(pairs))
-
-    @property
-    def halfspaces(self) -> tuple[HalfSpace, ...]:
-        return tuple(HalfSpace(n, b) for n, b in self.halfspace_pairs)
 
     @cached_property
     def dim(self) -> int:
@@ -461,7 +458,7 @@ class Polyhedron:
         if self.ambient != other.ambient:
             raise ValueError("ambient rank mismatch")
         if self.is_empty or other.is_empty:
-            return Polyhedron._make_empty(self.ambient)
+            return Polyhedron.empty(self.ambient)
         return Polyhedron.from_halfspaces(self.halfspace_pairs + other.halfspace_pairs,
                                           self.ambient)
 
@@ -517,7 +514,7 @@ class Polyhedron:
                     rows[tuple(-v for v in n)] = -b
             out.append(type(self)._from_pass(sorted(rows.items()), self.ambient, lin,
                                              tuple(rays[k] for k in sorted(s))))
-        return tuple(sorted(out, key=lambda p: (p.dim, p.equalities, p.facets)))
+        return tuple(sorted(out, key=_face_sort_key))
 
     def is_face_of(self, other: "Polyhedron") -> bool:
         """True iff self = other cut by a valid hyperplane (self = other allowed).
@@ -624,13 +621,18 @@ class AdmissibilityResult:
 
 @record
 class Fan:
-    """Finite fan: pointed cones, closed under faces, meeting in common faces."""
+    """Finite fan: pointed cones, closed under faces, meeting in common faces.
+
+    `zero_index` is the index of the zero cone, whose stratum is the torus.
+    """
 
     ambient: int
     cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        self.__dict__.update(_index={c: i for i, c in enumerate(self.cones)}, _faces={})
+        zero = next((i for i, c in enumerate(self.cones) if c.is_zero), None)
+        self.__dict__.update(_index={c: i for i, c in enumerate(self.cones)}, _faces={},
+                             zero_index=zero)
 
     @classmethod
     def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
@@ -650,7 +652,7 @@ class Fan:
                 closure.add(Cone.of(f))
         if not closure:
             closure.add(Cone.from_rays((), ambient))
-        ordered = tuple(sorted(closure, key=lambda c: (c.dim, c.equalities, c.facets)))
+        ordered = tuple(sorted(closure, key=_face_sort_key))
         fan = cls(ambient, ordered)
         fan.validate()
         return fan

@@ -264,6 +264,20 @@ def test_skeleton_warns_on_asserted_basis(capsys, tmp_path):
     assert any("asserted" in w for w in out["warnings"])
 
 
+@pytest.mark.parametrize("fields, code, kind", [
+    ({"generators": ["x + y + z"]}, 1, "malformed-input"),
+    ({"generators": ["x + y + 1", "x + y + 1"]}, 2, "basis-not-asserted"),
+    ({"generators": ["x + y + 1"], "stratum_ideals": [[99, ["y + 1"]]]}, 1,
+     "malformed-input"),
+], ids=["rank", "unasserted-basis", "index-past-the-fan"])
+def test_skeleton_refuses_embedding(capsys, tmp_path, fields, code, kind):
+    emb = write(tmp_path, "e.json", {"fan": jio.fan_to_json(p2_fan()), **fields})
+    got, out, err = run(capsys, "skeleton", "--embedding", emb,
+                        "--complex", star_file(tmp_path))
+    assert got == code and out is None
+    assert err["error"]["kind"] == kind
+
+
 @pytest.mark.parametrize("covering", [True, False])
 def test_skeleton_checks_the_cover_once(capsys, tmp_path, monkeypatch, covering):
     if covering:

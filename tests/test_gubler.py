@@ -10,8 +10,8 @@ from adictrop import lp
 from adictrop.complexes import ExtendedComplex, refinement_map
 from adictrop.degeneration import LaurentPoly, ResiduePoly, ValuedCoeff, trop_eval
 from adictrop.errors import (DenominatorMismatch, EmbeddingMismatch,
-                             ExponentOutsideSublattice, NotACover, NotARefinement,
-                             UnverifiedBasis, ZeroPolynomial)
+                             ExponentOutsideSublattice, MalformedEmbedding, NotACover,
+                             NotARefinement, UnverifiedBasis, ZeroPolynomial)
 from adictrop.gubler import (CoverDecision, EmbeddingData, adapted_to,
                              adic_trop_strata, build_skeleton, covers,
                              skeleton_dot, skeleton_morphism)
@@ -75,6 +75,22 @@ def test_embedding_validation():
     bad = LaurentPoly.of(2, [((0, 1), 1), ((0, 0), 1)])
     with pytest.raises(ExponentOutsideSublattice):
         EmbeddingData.of(fan, [], stratum_ideals={ray_idx: [bad]})
+
+
+def test_embedding_ideal_per_stratum():
+    fan = p2_fan()
+    ray_idx = fan.index_of(Cone.from_rays([(0, 1)], 2))
+    f = parse_poly("x + y + 1")
+    g = LaurentPoly.of(2, [((1, 0), 1), ((0, 0), 1)])
+    embedding = EmbeddingData.of(fan, [f], stratum_ideals={ray_idx: [g]})
+    assert embedding.ideal(fan.zero_index) == (f,)
+    (q,) = embedding.ideal(ray_idx)
+    assert q.nvars == 1 and len(q.terms) == 2
+    assert embedding.ideal(fan.index_of(Cone.from_rays([(1, 0)], 2))) is None
+    assert EmbeddingData.of(fan, [], stratum_ideals={ray_idx: []}).ideal(ray_idx) == ()
+    for bad in (len(fan), -1, fan.zero_index):
+        with pytest.raises(MalformedEmbedding):
+            EmbeddingData.of(fan, [], stratum_ideals={bad: []})
 
 
 # -- cover checks -------------------------------------------------------------------
