@@ -373,6 +373,7 @@ def embedding_from_json(obj) -> EmbeddingData:
         _expect(isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
                 "stratum_ideals entries are [cone_index, [generators]] pairs")
         _expect(isinstance(entry[1], list), "stratum ideal generators must be a list")
+        _expect(entry[0] not in ideals, f"stratum_ideals lists cone {entry[0]} twice")
         ideals[entry[0]] = [generator_from_json(g, fan.ambient, variables)
                             for g in entry[1]]
     asserted = obj.get("tropical_basis_asserted", False)

@@ -15,7 +15,8 @@ inequality is one whose tight generators span a face of codimension one
 (Fukuda and Prodon, "Double description method revisited", 1996).  The
 pass is kept as the new object's generators, and every later question that
 needs them (vertices, rays, a cone's generator description, containment,
-the face relation) reads them instead of running it again.
+the face relation, a relative-interior point, the lineality) reads them
+instead of running it again.  No LP is solved in this module.
 
 Cones are polyhedra whose bounds are all zero; fans are finite collections
 of pointed cones closed under faces and intersecting in common faces.
@@ -26,7 +27,7 @@ No floats anywhere: bounds are `fractions.Fraction`, normals are ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -168,12 +169,6 @@ def _homogenized_dd(pairs: Iterable[HalfSpacePair], ambient: int):
     rows = {la.primitive(n + (-b,)) for n, b in pairs}
     rows.add((0,) * ambient + (1,))
     return _dd_cone(sorted(rows), ambient + 1)
-
-
-def _constraints(eqs: Sequence[HalfSpacePair], ineqs: Sequence[HalfSpacePair]):
-    ge = [([Fraction(v) for v in n], b) for n, b in ineqs]
-    eq = [([Fraction(v) for v in n], b) for n, b in eqs]
-    return ge, eq
 
 
 def _face_sort_key(p: "Polyhedron"):
@@ -341,28 +336,20 @@ class Polyhedron:
 
     @cached_property
     def dim(self) -> int:
-        if self.is_empty:
-            return -1
-        return self.ambient - la.rank([la.vec(n) for n, _ in self.equalities])
+        """The equalities are an independent reduced system, one per codimension."""
+        return -1 if self.is_empty else self.ambient - len(self.equalities)
 
     @cached_property
     def lineality_basis(self) -> tuple[IntVector, ...]:
-        if self.is_empty:
-            return ()
-        normals = [la.vec(n) for n, _ in self.equalities] + [la.vec(n) for n, _ in self.facets]
-        if not normals:
-            return la.kernel_basis([], self.ambient) if self.ambient else ()
-        return la.kernel_basis(normals, self.ambient)
+        return () if self.is_empty else tuple(l[:-1] for l in self._generators[0])
 
     @property
     def is_pointed(self) -> bool:
-        return not self.is_empty and len(self.lineality_basis) == 0
+        return not self.is_empty and not self._generators[0]
 
     @property
     def is_bounded(self) -> bool:
-        if self.is_empty:
-            return True
-        return self.recession_cone().dim == 0
+        return self.is_empty or (self.is_pointed and not self._vrep.rays)
 
     # -- point queries ------------------------------------------------------
 
@@ -374,16 +361,6 @@ class Polyhedron:
             raise ValueError("point arity does not match ambient rank")
         return (all(la.dot(n, x) == b for n, b in self.equalities)
                 and all(la.dot(n, x) >= b for n, b in self.facets))
-
-    def maximize(self, objective: Sequence) -> lp.LPResult:
-        from . import lp
-        ge, eq = _constraints(self.equalities, self.facets)
-        return lp.maximize([la.frac(c) for c in objective], ge=ge, eq=eq)
-
-    def minimize(self, objective: Sequence) -> lp.LPResult:
-        from . import lp
-        ge, eq = _constraints(self.equalities, self.facets)
-        return lp.minimize([la.frac(c) for c in objective], ge=ge, eq=eq)
 
     # -- geometry ------------------------------------------------------------
 
@@ -398,25 +375,22 @@ class Polyhedron:
 
     @cached_property
     def _vrep(self) -> VRep:
+        """The kept rays with lam > 0 as points, those with lam = 0 as directions.
+
+        For a pointed polyhedron this is its minimal V-representation; in
+        general it is that of the pointed part Q with self = Q + lineality.
+        """
+        n = self.ambient
+        _, rays = self._generators
+        vertices = sorted(tuple(Fraction(v, r[n]) for v in r[:n]) for r in rays if r[n] > 0)
+        return VRep(tuple(vertices), tuple(sorted(r[:n] for r in rays if r[n] == 0)))
+
+    def vrep(self) -> VRep:
+        """Minimal vertices and primitive rays (pointed polyhedra only)."""
         if self.is_empty:
             raise EmptyPolyhedron("empty polyhedron has no V-representation")
         if not self.is_pointed:
             raise NotPointed("V-representation requires a pointed polyhedron")
-        _, rays = self._generators
-        vertices = []
-        recession = []
-        for r in rays:
-            lam = r[self.ambient]
-            if lam > 0:
-                vertices.append(tuple(Fraction(v, lam) for v in r[:self.ambient]))
-            elif all(v == 0 for v in r[:self.ambient]):
-                continue
-            else:
-                recession.append(la.primitive(r[:self.ambient]))
-        return VRep(tuple(sorted(vertices)), tuple(sorted(recession)))
-
-    def vrep(self) -> VRep:
-        """Minimal vertices and primitive rays (pointed polyhedra only)."""
         return self._vrep
 
     def recession_cone(self) -> "Cone":
@@ -429,30 +403,19 @@ class Polyhedron:
     def relative_interior_point(self) -> Vector:
         """Deterministic rational point in the relative interior.
 
-        Pointed case: vertex barycenter plus the sum of the primitive rays.
-        Non-pointed case: the exact LP point strictly inside every facet.
-        Unboxed `hypersurface_trop` cells and skeleton chart pieces can be
-        non-pointed, so this point can reach output (chart samples).
+        The barycenter of the kept rays with lam > 0 (each divided by lam)
+        plus the sum of the rays with lam = 0: a relative-interior point of
+        the pointed part Q, and relint(Q + L) = relint(Q) + L for the
+        lineality L.  On a pointed polyhedron this is the vertex barycenter
+        plus the sum of the primitive rays.  Chart pieces are admissible, so
+        pointed; the non-pointed unboxed `hypersurface_trop` cells only get
+        initial forms here, which are constant on a relative interior.
         """
         if self.is_empty:
             raise EmptyPolyhedron("empty polyhedron has no relative interior")
-        if self.is_pointed:
-            rep = self.vrep()
-            point = tuple(Fraction(0) for _ in range(self.ambient))
-            for v in rep.vertices:
-                point = la.vadd(point, v)
-            point = la.vscale(Fraction(1, len(rep.vertices)), point)
-            for r in rep.rays:
-                point = la.vadd(point, la.vec(r))
-            return point
-        if not self.equalities and not self.facets:
-            return tuple(Fraction(0) for _ in range(self.ambient))
-        from . import lp
-        _, eq = _constraints(self.equalities, ())
-        strict = [([Fraction(v) for v in n], b) for n, b in self.facets]
-        pt = lp.feasible_point(eq=eq, strict=strict) if strict else lp.feasible_point(eq=eq)
-        assert pt is not None
-        return tuple(pt)
+        rep = self._vrep
+        barycenter = la.vscale(Fraction(1, len(rep.vertices)), reduce(la.vadd, rep.vertices))
+        return reduce(la.vadd, rep.rays, barycenter)
 
     def intersection(self, other: "Polyhedron") -> "Polyhedron":
         if self.ambient != other.ambient:
@@ -485,19 +448,33 @@ class Polyhedron:
         return (all(la.dot(row, l) == 0 for row in rows for l in lin)
                 and all(la.dot(row, r) >= 0 for row in rows for r in rays))
 
+    def _face(self, tight: Iterable[HalfSpacePair], on: Sequence[IntVector]) -> "Polyhedron":
+        """The face of self on which the facets `tight` hold with equality.
+
+        `on` are the kept rays that all of `tight` vanish on; with the kept
+        lineality they are the face's pass, so it is canonicalized from
+        self's rows, each tight facet reversed as an extra row (on a
+        nonempty face -n . x >= -b is the stronger bound), with no pass of
+        its own.
+        """
+        rows = dict(self.halfspace_pairs)
+        for n, b in tight:
+            rows[tuple(-v for v in n)] = -b
+        return type(self)._from_pass(sorted(rows.items()), self.ambient, self._generators[0],
+                                     tuple(on))
+
     def faces(self) -> tuple["Polyhedron", ...]:
         """All nonempty faces, self included, in canonical order.
 
         Read off the kept pass (Kaibel and Pfetsch, "Computing the face
         lattice of a polytope from its vertex-facet incidences", 2002): the
         faces are the intersections of the facets' tight ray sets, starting
-        from all rays, that still hold a ray with lam > 0.  A face is
-        canonicalized from its rays, its tight facets reversed as extra rows,
-        with no pass of its own.
+        from all rays, that still hold a ray with lam > 0.  Each is built by
+        `_face`.
         """
         if self.is_empty:
             return ()
-        lin, rays = self._generators
+        _, rays = self._generators
         positive = frozenset(k for k, r in enumerate(rays) if r[self.ambient] > 0)
         tight = {(n, b): frozenset(k for k, r in enumerate(rays) if la.dot(n + (-b,), r) == 0)
                  for n, b in self.facets}
@@ -506,14 +483,9 @@ class Polyhedron:
             found |= {s & t for s in found if s & t & positive}
         out = [self]
         for s in found:
-            if len(s) == len(rays):
-                continue
-            rows = dict(self.halfspace_pairs)
-            for (n, b), t in tight.items():
-                if s <= t:  # on a nonempty face, -n . x >= -b is the stronger bound
-                    rows[tuple(-v for v in n)] = -b
-            out.append(type(self)._from_pass(sorted(rows.items()), self.ambient, lin,
-                                             tuple(rays[k] for k in sorted(s))))
+            if len(s) < len(rays):
+                out.append(self._face([f for f, t in tight.items() if s <= t],
+                                      [rays[k] for k in sorted(s)]))
         return tuple(sorted(out, key=_face_sort_key))
 
     def is_face_of(self, other: "Polyhedron") -> bool:
@@ -523,21 +495,17 @@ class Polyhedron:
         self cut out the smallest face of other containing self; self is a
         face iff it is that face.  A facet row n . x - b lam is tight on all
         of self iff it vanishes on every extreme ray and lineality vector of
-        self's homogenization (`_generators`), so no LP is solved.
+        self's homogenization, and the face is `other._face` of those facets
+        and of other's kept rays they all vanish on: no LP and no pass.
         """
-        if self.is_empty or other.is_empty:
-            return False
-        if self.as_polyhedron() == other.as_polyhedron():
-            return True
-        if not other.contains_polyhedron(self):
+        if self.is_empty or other.is_empty or not other.contains_polyhedron(self):
             return False
         lin, rays = self._generators
-        active = list(other.halfspace_pairs)
-        for n, b in other.facets:
-            if all(la.dot(n + (-b,), g) == 0 for g in lin + rays):
-                active.append((tuple(-v for v in n), -b))
-        minimal_face = Polyhedron.from_halfspaces(active, self.ambient)
-        return minimal_face == self.as_polyhedron()
+        tight = [(n, b) for n, b in other.facets
+                 if all(la.dot(n + (-b,), g) == 0 for g in lin + rays)]
+        on = [r for r in other._generators[1]
+              if all(la.dot(n + (-b,), r) == 0 for n, b in tight)]
+        return other._face(tight, on).as_polyhedron() == self.as_polyhedron()
 
     def __repr__(self):
         if self.is_empty:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import linalg as la
 from ._record import record
-from .errors import NotAdmissible, NotPointed
+from .errors import MalformedInput, NotAdmissible, NotPointed
 from .polyhedra import Cone, Fan, Polyhedron, is_admissible
 
 Vector = tuple[Fraction, ...]
@@ -186,6 +186,8 @@ class StratumLattice:
     cone_index: int
 
     def __post_init__(self):
+        if self.cone_index not in range(len(self.fan.cones)):
+            raise MalformedInput(f"stratum index {self.cone_index} is not a cone of the fan")
         cone = self.fan.cones[self.cone_index]
         m = self.fan.ambient
         rays = cone.rays  # fan cones are pointed

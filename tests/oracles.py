@@ -20,8 +20,9 @@ Four oracles keep the library's earlier implementations, which ran their
 own passes instead of reading the generators kept by canonicalization: a
 cone's generator description by one `_dd_cone` on its canonical normals,
 the cone of a ray list by its own dualization, the face relation through
-a relative interior point (an LP when the face is not pointed), and the
-face lattice by a walk that canonicalizes each facet of each face anew.
+a relative interior point found by a strict-feasibility LP, and the face
+lattice by a walk that canonicalizes each facet of each face anew.  The
+LP over a polyhedron (`poly_lp`) is a test tool: `polyhedra` solves none.
 """
 
 from __future__ import annotations
@@ -35,9 +36,23 @@ from adictrop import linalg as la
 from adictrop import lp
 from adictrop.errors import EmptyPolyhedron
 from adictrop.linalg import dot, vec
-from adictrop.polyhedra import Cone, Polyhedron, _constraints, _dd_cone, _normalize_pair
+from adictrop.polyhedra import Cone, Polyhedron, _dd_cone, _normalize_pair
 
 F = Fraction
+
+
+def _constraints(eqs, ineqs):
+    """(normal, bound) pairs as the LP's `ge` and `eq` rows, in that order."""
+    ge = [([F(v) for v in n], b) for n, b in ineqs]
+    eq = [([F(v) for v in n], b) for n, b in eqs]
+    return ge, eq
+
+
+def poly_lp(p: Polyhedron, objective, sense: str = "min") -> lp.LPResult:
+    """Minimize (or, with sense "max", maximize) objective . x over p, by exact LP."""
+    ge, eq = _constraints(p.equalities, p.facets)
+    solve = lp.minimize if sense == "min" else lp.maximize
+    return solve([la.frac(c) for c in objective], ge=ge, eq=eq)
 
 
 def canonicalize_lp(halfspaces, ambient):
@@ -171,16 +186,24 @@ def cone_from_rays_dd(rays, ambient) -> Cone:
     return Cone.from_halfspaces(halfspaces, ambient)
 
 
+def relative_interior_point_lp(q: Polyhedron):
+    """A point of nonempty q strictly inside every facet, by one exact LP."""
+    strict, eq = _constraints(q.equalities, q.facets)
+    if not eq and not strict:
+        return (F(0),) * q.ambient
+    return tuple(lp.feasible_point(eq=eq, strict=strict))
+
+
 def is_face_of_lp(q: Polyhedron, p: Polyhedron) -> bool:
     """Is q a face of p?  The facets of p tight at a relative interior point
-    of q (an LP when q is not pointed) cut out the smallest face containing q."""
+    of q (found by LP) cut out the smallest face containing q."""
     if q.is_empty or p.is_empty:
         return False
     if q.as_polyhedron() == p.as_polyhedron():
         return True
     if not p.contains_polyhedron(q):
         return False
-    z = q.relative_interior_point()
+    z = relative_interior_point_lp(q)
     active = list(p.halfspace_pairs)
     for n, b in p.facets:
         if la.dot(n, z) == b:
@@ -249,7 +272,7 @@ def box_lattice_points(bounds):
 
 def semigroup_member(poly: Polyhedron, u, gamma: Fraction) -> bool:
     """Does gamma + u.v >= 0 hold for every v in poly (nonempty)?"""
-    res = poly.minimize([F(c) for c in u])
+    res = poly_lp(poly, u)
     if res.status == lp.UNBOUNDED:
         return False
     return gamma + res.value >= 0
@@ -274,7 +297,7 @@ def semigroup_generators_boxed(poly: Polyhedron, denominator: int, u_bound: int,
     d = poly.ambient
     umin: dict[tuple, F | None] = {}
     for u in box_lattice_points([(-2 * u_bound, 2 * u_bound)] * d):
-        res = poly.minimize([F(c) for c in u])
+        res = poly_lp(poly, u)
         umin[u] = None if res.status == lp.UNBOUNDED else res.value
 
     def member(u, gamma) -> bool:

@@ -250,7 +250,7 @@ def test_criterion_3_tilted_algebra_oracle():
         reach = 6
         umin = {}
         for u in product(*[range(-reach, reach + 1)] * d):
-            res = p.minimize([F(c) for c in u])
+            res = oracles.poly_lp(p, u)
             unbounded = res.status == lp.UNBOUNDED
             umin[u] = (not unbounded, None if unbounded else res.value)
         for u in product(*[range(-2, 3)] * d):

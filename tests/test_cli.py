@@ -133,6 +133,16 @@ def test_initial_exponent_outside_sublattice(capsys, tmp_path):
     assert err["error"]["kind"] == "exponent-outside-sublattice"
 
 
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_initial_refuses_stratum_outside_the_fan(capsys, tmp_path, index):
+    fan_path = write(tmp_path, "fan.json", jio.fan_to_json(p2_fan()))
+    code, out, err = run(capsys, "initial", "x + 1", "--vars", "x,y",
+                         "--point", "0", "--fan", fan_path, "--stratum", index)
+    assert code == 1 and out is None
+    assert err["error"]["kind"] == "malformed-input"
+    assert f"stratum index {index} " in err["error"]["message"]
+
+
 # -- tilted ---------------------------------------------------------------------
 
 def test_tilted_unit_interval(capsys, tmp_path):
@@ -269,7 +279,9 @@ def test_skeleton_warns_on_asserted_basis(capsys, tmp_path):
     ({"generators": ["x + y + 1", "x + y + 1"]}, 2, "basis-not-asserted"),
     ({"generators": ["x + y + 1"], "stratum_ideals": [[99, ["y + 1"]]]}, 1,
      "malformed-input"),
-], ids=["rank", "unasserted-basis", "index-past-the-fan"])
+    ({"generators": ["x + y + 1"], "stratum_ideals": [[1, ["y + 1"]], [1, ["t*y + 1"]]]}, 1,
+     "malformed-input"),
+], ids=["rank", "unasserted-basis", "index-past-the-fan", "repeated-index"])
 def test_skeleton_refuses_embedding(capsys, tmp_path, fields, code, kind):
     emb = write(tmp_path, "e.json", {"fan": jio.fan_to_json(p2_fan()), **fields})
     got, out, err = run(capsys, "skeleton", "--embedding", emb,

@@ -16,6 +16,8 @@ from adictrop.errors import (FamilyNotSupported, MalformedInput, NotAdmissible,
 from adictrop.polyhedra import Cone, Fan, Polyhedron
 from adictrop.toric import ExtendedPoint
 
+import oracles
+
 F = Fraction
 
 
@@ -209,7 +211,7 @@ def test_validate_family_overlap():
 def test_rank1_bounds_match_lp(rows):
     p = Polyhedron.from_halfspaces(rows, 1)
     expected = tuple(res.value if res.status == lp.OPTIMAL else None
-                     for res in (p.minimize([1]), p.maximize([1])))
+                     for res in (oracles.poly_lp(p, [1]), oracles.poly_lp(p, [1], "max")))
     assert _bounds_1d(p) == expected
 
 

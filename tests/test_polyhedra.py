@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adictrop import linalg as la
 from adictrop import lp, polyhedra
 from adictrop.degeneration import hypersurface_trop, tilted_algebra
 from adictrop.errors import EmptyPolyhedron, NotAFan, NotPointed
@@ -247,6 +248,50 @@ def test_relative_interior_point_is_interior():
         assert p.contains(z)
         for n, b in p.facets:
             assert sum(a * x for a, x in zip(n, z)) > b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(halfspace_systems())
+@example((2, []))  # the whole plane
+@example((3, [((1, 0, 0), 1), ((-1, 0, 0), -1), ((0, 1, 0), 2), ((0, -1, 0), -2),
+              ((0, 0, 1), 0), ((0, 0, -1), 0)]))  # a point
+@example((2, [((0, 1), 0), ((0, -1), -1)]))  # a strip: not pointed
+@example((4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 1), ((-1, -1, 0, 0), -3)]))  # triangle x plane
+@example((3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1),
+              ((0, 0, -1), -1)]))  # a quadrant in z = 1: unbounded, lower-dimensional
+@example((3, [((1, 1, 0), 0), ((-1, -1, 0), 0), ((0, 0, 1), 0)]))  # a half-plane in a plane
+def test_read_offs_match_recession_cone_and_facets(system):
+    ambient, rows = system
+    p = _poly(rows, ambient)
+    if p.is_empty:
+        return
+    z = p.relative_interior_point()
+    assert all(la.dot(n, z) == b for n, b in p.equalities)
+    assert all(la.dot(n, z) > b for n, b in p.facets)
+    lin, rays = oracles.generator_description_dd(p.recession_cone())
+    assert p.is_pointed == (not lin)
+    assert p.is_bounded == (not lin and not rays)
+    assert len(p.lineality_basis) == len(lin) == la.rank(list(p.lineality_basis) + list(lin))
+    kept_lin, kept_rays = p._generators
+    assert p.dim == len(kept_lin) + la.rank(kept_rays) - 1
+    if p.is_pointed:
+        rep = p.vrep()
+        assert Polyhedron.from_generators(rep.vertices, rep.rays, ambient) == p
+
+
+def test_read_offs_solve_no_lp(monkeypatch):
+    strip = _poly([((0, 1), 0), ((0, -1), -1)], 2)  # 0 <= y <= 1: not pointed
+    slab = _poly([((0, 0, 1), 0), ((0, 0, -1), -1), ((1, 0, 0), 0)], 3)  # and x >= 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a read-off solved an LP")
+
+    for name in ("minimize", "maximize", "feasible_point"):
+        monkeypatch.setattr(lp, name, refuse)
+    assert strip.relative_interior_point() == (F(0), F(1, 2))
+    assert slab.relative_interior_point() == (F(1), F(0), F(1, 2))
+    assert not strip.is_bounded and not strip.is_pointed and strip.dim == 2
+    assert strip.lineality_basis == ((1, 0),) and slab.lineality_basis == ((0, 1, 0),)
 
 
 def test_faces_of_square():
@@ -577,17 +622,26 @@ def test_face_relation_solves_no_lp(monkeypatch):
     half_floor = floor.intersection(half_slab)
     edge_line = half_floor.intersection(_poly([((-1, 0, 0), 0)], 3))  # the y-axis
 
+    passes = []
+    real = polyhedra._dd_cone
+
     def refuse(*args, **kwargs):
         raise AssertionError("the face relation solved an LP")
 
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
     for name in ("minimize", "maximize", "feasible_point"):
         monkeypatch.setattr(lp, name, refuse)
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
     assert edge.is_face_of(strip)
     assert not middle.is_face_of(strip)
     assert floor.is_face_of(slab)
     assert half_floor.is_face_of(half_slab) and not half_floor.is_face_of(slab)
     assert not half_floor.is_face_of(floor)
     assert edge_line.is_face_of(half_slab) and edge_line.is_face_of(half_floor)
+    assert passes == []
 
 
 def test_kept_pass_serves_later_readers(monkeypatch):
