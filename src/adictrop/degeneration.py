@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg as la
@@ -382,6 +384,15 @@ class TiltedPresentation:
     generators: tuple[tuple[IntVector, Fraction], ...]
     positive_part: tuple[int, ...]
 
+    @cached_property
+    def zero_sets(self) -> tuple[int, ...]:
+        """Per generator (u, γ), the bitmask of P's vertex rows (D·v, 1), in
+        `vrep` order, on which (u, Dγ) vanishes."""
+        rows, d = _vertex_rows(self.polyhedron, self.denominator), self.denominator
+        return tuple(sum(1 << k for k, row in enumerate(rows)
+                         if sum(map(mul, row, u + (int(g * d),))) == 0)
+                     for u, g in self.generators)
+
     def contains_monomial(self, u: Sequence[int], gamma) -> bool:
         """Is t^gamma·χ^u in R[M]^P (γ + <u, v> >= 0 on P)?"""
         gamma = la.frac(gamma)
@@ -399,13 +410,39 @@ class TiltedPresentation:
                 and all(gamma + la.dot(u, v) > 0 for v in rep.vertices))
 
 
+def _vertex_rows(p: Polyhedron, denominator: int) -> list[IntVector]:
+    return [la.primitive(tuple(denominator * x for x in v) + (1,)) for v in p.vrep().vertices]
+
+
+def _tilted_cone(p: Polyhedron, denominator: int) -> Cone:
+    """{(u, s) : (u, s) . (D·v, 1) >= 0 at each vertex v, u . r >= 0 on each ray r}.
+
+    For full-dimensional P its extreme rays are (n, -D·b) for each facet
+    n·x >= b of P, and (0, 1) iff P's rays span the space; with the apex
+    they are its homogenized pass, which `_from_pass` takes without a
+    double description.  With equalities the cone has lineality, whose
+    representatives depend on the elimination order: it runs its own pass.
+    """
+    n, rep = p.ambient, p.vrep()
+    rows = _vertex_rows(p, denominator) + [r + (0,) for r in rep.rays]
+    pairs = [(row, Fraction(0)) for row in sorted(rows)]
+    if p.equalities:
+        return Cone.from_halfspaces(pairs, n + 1)
+    rays = [a + (-int(b * denominator),) for a, b in p.facets]
+    if la.rank(rep.rays) == n:
+        rays.append((0,) * n + (1,))
+    apex = (0,) * (n + 1) + (1,)
+    return Cone._from_pass(pairs, n + 1, (), tuple(sorted([r + (0,) for r in rays] + [apex])))
+
+
 def tilted_algebra(p: Polyhedron, denominator: int = 1) -> TiltedPresentation:
     """Generators of the monomials integral on P, at level lattice (1/D)ℤ.
 
-    The semigroup is the lattice part of the dual of the closed cone over
-    P × {1}; its H-description comes straight from the vertices and rays
-    of P.  The level monomial t^{1/D} is always included, normalizing the
-    presentation even when it is a product of other generators.
+    The semigroup is the lattice part of the cone over P's vertex and ray
+    rows in scaled coordinates (u, Dγ), whose rays are P's facets
+    (`_tilted_cone`).  The level monomial t^{1/D} is always included,
+    normalizing the presentation even when it is a product of other
+    generators.
     """
     if denominator < 1:
         raise DenominatorMismatch("denominator must be a positive integer")
@@ -418,21 +455,16 @@ def tilted_algebra(p: Polyhedron, denominator: int = 1) -> TiltedPresentation:
             raise DenominatorMismatch(
                 f"bound {b} is not a multiple of 1/{denominator}")
     n = p.ambient
-    rep = p.vrep()
-    halfspaces = []
-    for v in rep.vertices:
-        halfspaces.append((tuple(denominator * x for x in v) + (Fraction(1),), Fraction(0)))
-    for r in rep.rays:
-        halfspaces.append((tuple(Fraction(x) for x in r) + (Fraction(0),), Fraction(0)))
-    cone = Cone.from_halfspaces(halfspaces, n + 1)
-    scaled = list(semigroup_generators(cone).all)
+    scaled = list(semigroup_generators(_tilted_cone(p, denominator)).all)
     level = (0,) * n + (1,)
     if level not in scaled:
         scaled.append(level)
     generators = tuple(sorted((x[:n], Fraction(x[n], denominator)) for x in scaled))
-    positive = tuple(i for i, (u, g) in enumerate(generators)
-                     if min(g + la.dot(la.vec(u), v) for v in rep.vertices) > 0)
-    return TiltedPresentation(p.as_polyhedron(), denominator, generators, positive)
+    masks = TiltedPresentation(p, denominator, generators, ()).zero_sets
+    out = TiltedPresentation(p.as_polyhedron(), denominator, generators,
+                             tuple(i for i, z in enumerate(masks) if not z))
+    out.__dict__["zero_sets"] = masks  # the cache `cached_property` reads
+    return out
 
 
 @record
@@ -451,29 +483,23 @@ class SpecialFiberRelations:
 
 
 def special_fiber_relations(t: TiltedPresentation) -> SpecialFiberRelations:
-    gens = t.generators
-    n = t.polyhedron.ambient
+    """Products are keyed in scaled coordinates (u, Dγ).  A product of two
+    generators is in R[M]^P, so ≡ 0 iff their zero sets are disjoint."""
+    d = t.denominator
+    gens = [u + (int(g * d),) for u, g in t.generators]
     vanish = set(t.positive_part)
-    products: dict[tuple[IntVector, Fraction], list[tuple[int, ...]]] = {}
-    products[((0,) * n, Fraction(0))] = [()]
-    for i, (u, g) in enumerate(gens):
-        products.setdefault((u, g), []).append((i,))
+    masks = t.zero_sets
+    products: dict[IntVector, list[tuple[int, ...]]] = {(0,) * len(gens[0]): [()]}
+    for i, x in enumerate(gens):
+        products.setdefault(x, []).append((i,))
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            u = tuple(a + b for a, b in zip(gens[i][0], gens[j][0]))
-            g = gens[i][1] + gens[j][1]
-            products.setdefault((u, g), []).append((i, j))
+            x = tuple(a + b for a, b in zip(gens[i], gens[j]))
+            products.setdefault(x, []).append((i, j))
     identities = tuple(sorted(tuple(sorted(group)) for group in products.values()
                               if len(group) > 1))
-    fading = []
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            if i in vanish or j in vanish:
-                continue
-            u = tuple(a + b for a, b in zip(gens[i][0], gens[j][0]))
-            g = gens[i][1] + gens[j][1]
-            if t.monomial_strictly_positive(u, g):
-                fading.append((i, j))
+    fading = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))
+              if i not in vanish and j not in vanish and not masks[i] & masks[j]]
     return SpecialFiberRelations(tuple(sorted(vanish)), identities, tuple(fading))
 
 

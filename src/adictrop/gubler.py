@@ -46,8 +46,9 @@ class EmbeddingData:
     with `tropical_basis_asserted` (the artifact cannot verify the basis
     property).  `stratum_ideals` optionally supplies generator lists for
     boundary strata, keyed by the index of a nonzero fan cone sigma, with
-    exponents in M_sigma.  An empty list means the whole stratum; strata
-    without an entry are not evaluated.
+    exponents in M_sigma; `of` takes them as a mapping or as pairs.  An
+    empty list means the whole stratum; strata without an entry are not
+    evaluated, and an index listed twice is refused.
     """
 
     fan: Fan
@@ -58,13 +59,17 @@ class EmbeddingData:
     @classmethod
     def of(cls, fan: Fan, generators: Iterable[LaurentPoly],
            tropical_basis_asserted: bool = False,
-           stratum_ideals: Mapping[int, Iterable[LaurentPoly]] | None = None,
+           stratum_ideals: Mapping[int, Iterable[LaurentPoly]] | Iterable | None = None,
            ) -> "EmbeddingData":
-        ideals = tuple(sorted((idx, tuple(gens))
-                              for idx, gens in (stratum_ideals or {}).items()))
+        items = stratum_ideals.items() if isinstance(stratum_ideals, Mapping) else stratum_ideals
+        ideals = tuple(sorted(((idx, tuple(gens)) for idx, gens in items or ()),
+                              key=lambda entry: entry[0]))
         return cls(fan, tuple(generators), tropical_basis_asserted, ideals)
 
     def __post_init__(self):
+        for k, (idx, _) in enumerate(self.stratum_ideals):
+            if any(idx == other for other, _ in self.stratum_ideals[:k]):
+                raise MalformedEmbedding(f"stratum_ideals lists cone {idx} twice")
         n, zero = self.fan.ambient, self.fan.zero_index
         for g in self.generators:
             if g.is_zero:

@@ -320,12 +320,14 @@ def presentation_to_json(pres: TiltedPresentation) -> dict:
 
 def presentation_from_json(obj) -> TiltedPresentation:
     from .degeneration import TiltedPresentation
+    d = _get(obj, "denominator", int)
     generators = tuple((_int_vector(_get(g, "u", list), "exponent"),
                         parse_fraction(_get(g, "level", str)))
                        for g in _get(obj, "generators", list))
+    _expect(all((g * d).denominator == 1 for _, g in generators),
+            f"generator levels must be multiples of 1/{d}")
     return TiltedPresentation(
-        polyhedron_from_json(_get(obj, "polyhedron", dict)),
-        _get(obj, "denominator", int), generators,
+        polyhedron_from_json(_get(obj, "polyhedron", dict)), d, generators,
         _int_vector(_get(obj, "positive_part", list), "positive_part"))
 
 
@@ -368,14 +370,13 @@ def embedding_from_json(obj) -> EmbeddingData:
         variables = tuple(variables)
     generators = [generator_from_json(g, fan.ambient, variables)
                   for g in _get(obj, "generators", list)]
-    ideals: dict[int, list[LaurentPoly]] = {}
+    ideals: list[tuple[int, list[LaurentPoly]]] = []
     for entry in obj.get("stratum_ideals", []):
         _expect(isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
                 "stratum_ideals entries are [cone_index, [generators]] pairs")
         _expect(isinstance(entry[1], list), "stratum ideal generators must be a list")
-        _expect(entry[0] not in ideals, f"stratum_ideals lists cone {entry[0]} twice")
-        ideals[entry[0]] = [generator_from_json(g, fan.ambient, variables)
-                            for g in entry[1]]
+        ideals.append((entry[0], [generator_from_json(g, fan.ambient, variables)
+                                  for g in entry[1]]))
     asserted = obj.get("tropical_basis_asserted", False)
     _expect(isinstance(asserted, bool), "tropical_basis_asserted must be a boolean")
     return EmbeddingData.of(fan, generators, asserted, ideals)

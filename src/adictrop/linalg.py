@@ -117,23 +117,24 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     return out, tuple(pivots)
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination.
 
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[IntVector, ...]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}, canonical order."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(primitive(v))
-    return tuple(basis)
+    Each entry stays a minor of the input, so every division is exact.
+    """
+    mat = [list(row) for row in rows if any(row)]
+    r, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        p, top = mat[r][c], mat[r]
+        for i in range(r + 1, len(mat)):
+            q = mat[i][c]
+            mat[i] = [(p * x - q * y) // prev for x, y in zip(mat[i], top)]
+        prev, r = p, r + 1
+    return r
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:

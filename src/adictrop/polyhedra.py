@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg as la
@@ -256,7 +257,9 @@ class Polyhedron:
         dim = len(lin) + la.rank(rays)
 
         def tight(n, b):
-            return [r for r in rays if la.dot(n + (-b,), r) == 0]
+            # n . x - b lam, scaled to the integer row (n den(b), -num(b))
+            row = tuple(v * b.denominator for v in n) + (-b.numerator,)
+            return [r for r in rays if sum(map(mul, row, r)) == 0]
 
         # implicit equalities: tight on every ray (the lineality always is)
         eq_idx = [i for i, (n, b) in enumerate(pairs) if len(tight(n, b)) == len(rays)]

@@ -11,7 +11,10 @@ Hilbert bases follow Normaliz (Bruns–Ichim, J. Algebra 2010): the cone is
 covered by the simplicial cones on linearly independent subsets of its
 extreme rays, the lattice points of each half-open fundamental
 parallelepiped are read off the Smith normal form of the subset, and the
-union is reduced to its irreducible elements.  No linear program is solved.
+union is reduced to its irreducible elements in degree order, each
+candidate tested only against the irreducibles already found.  All of it
+runs on integers, membership as dot products with the cone's integer
+rows.  No linear program is solved.
 
 Monomial exponents pair with quotient coordinates through the sublattice
 M_sigma = span(sigma)^perp intersected with M; the chosen bases are dual
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import floor
+from operator import mul
 from typing import Sequence
 
 from . import linalg as la
@@ -48,19 +51,20 @@ def _parallelepiped_points(gens: Sequence[IntVector]) -> list[IntVector]:
     whose points have coordinates lam = (z_1/d_1, ..., z_r/d_r) . s in G.
     Taking fractional parts of lam picks the coset's point in the half-open
     parallelepiped, so there are d_1 * ... * d_r points, zero included.
+    Every d_i divides the largest, e, so e * lam is an integer vector and the
+    point is (e * lam mod e) . G / e, an exact integer division.
     """
     s, d, _ = la.smith_normal_form(gens)
     r = len(gens)
+    e = d[r - 1][r - 1] if r else 1
+    weights = [[e // d[i][i] * v for v in s[i]] for i in range(r)]
     points = []
     for z in product(*[range(d[i][i]) for i in range(r)]):
         if not any(z):
             continue
-        lam = [sum((Fraction(z[i], d[i][i]) * s[i][j] for i in range(r)), Fraction(0))
-               for j in range(r)]
-        frac_part = [c - floor(c) for c in lam]
-        x = [sum((f * g[c] for f, g in zip(frac_part, gens)), Fraction(0))
-             for c in range(len(gens[0]))]
-        points.append(tuple(int(v) for v in x))
+        lam = [sum(z[i] * weights[i][j] for i in range(r)) % e for j in range(r)]
+        points.append(tuple(sum(l * g[c] for l, g in zip(lam, gens)) // e
+                            for c in range(len(gens[0]))))
     return points
 
 
@@ -76,6 +80,13 @@ def hilbert_basis(cone: Cone, lattice: Sequence[Sequence] | None = None) -> tupl
     normal form of the subset, and together with the rays they are the
     candidates.  A candidate is kept iff it does not split as a sum of two
     nonzero semigroup elements; a pointed cone has exactly one such set.
+
+    The reduction runs in degree order, the degree being the sum of the
+    facet normals, which is positive on the cone minus the origin: a
+    reducible candidate is some irreducible one of smaller degree plus a
+    semigroup element, so each candidate is tested only against those kept
+    before it.  Everything is on integers; membership is integer dot
+    products with the cone's equalities and facets.
     `lattice`, if given, is a full-rank basis matrix (rows, rational
     entries); coordinates returned are in that basis.
     """
@@ -102,26 +113,17 @@ def hilbert_basis(cone: Cone, lattice: Sequence[Sequence] | None = None) -> tupl
     for gens in combinations(rays, rank):
         if la.rank(gens) == rank:
             found.update(_parallelepiped_points(gens))
-    candidates = sorted(found)
+    grading = [sum(col) for col in zip(*(n for n, _ in working.facets))]
 
     def in_semigroup(x: IntVector) -> bool:
-        return working.contains(x)
+        return (all(sum(map(mul, n, x)) == 0 for n, _ in working.equalities)
+                and all(sum(map(mul, n, x)) >= 0 for n, _ in working.facets))
 
-    basis_out = []
-    for x in candidates:
-        reducible = False
-        for y in candidates:
-            if y == x:
-                continue
-            diff = tuple(a - b for a, b in zip(x, y))
-            if all(v == 0 for v in diff):
-                continue
-            if in_semigroup(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis_out.append(x)
-    return tuple(sorted(basis_out))
+    kept: list[IntVector] = []
+    for x in sorted(found, key=lambda x: (sum(map(mul, grading, x)), x)):
+        if not any(in_semigroup(tuple(a - b for a, b in zip(x, y))) for y in kept):
+            kept.append(x)
+    return tuple(sorted(kept))
 
 
 @record

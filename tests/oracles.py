@@ -22,6 +22,10 @@ cone's generator description by one `_dd_cone` on its canonical normals,
 the cone of a ray list by its own dualization, the face relation through
 a relative interior point found by a strict-feasibility LP, and the face
 lattice by a walk that canonicalizes each facet of each face anew.  The
+special-fiber relations keep their pairwise loop over rational levels,
+testing each product by the public strict-positivity test instead of the
+generators' zero sets, and a rational kernel basis lives on here since the
+library no longer needs one.  The
 LP over a polyhedron (`poly_lp`) is a test tool: `polyhedra` solves none.
 """
 
@@ -265,6 +269,21 @@ def in_hull(vertices, rays, x) -> bool:
     return lp.feasible_point(ge=ge, eq=eq) is not None
 
 
+def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of {x : row . x = 0 for all rows}, canonical order."""
+    reduced, pivots = la.rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(la.primitive(v))
+    return tuple(basis)
+
+
 def box_lattice_points(bounds):
     """All integer points in the product of [lo, hi] ranges."""
     return product(*[range(lo, hi + 1) for lo, hi in bounds])
@@ -370,6 +389,34 @@ def hilbert_basis_zonotope(cone):
                    for y in candidates):
             basis.append(x)
     return tuple(sorted(basis))
+
+
+def special_fiber_relations_pairwise(t):
+    """`special_fiber_relations` as the library computed it before zero sets:
+    products keyed by (u, gamma) with rational levels, and a pair fading iff
+    its product monomial is strictly positive on P by the public test."""
+    from adictrop.degeneration import SpecialFiberRelations
+    gens = t.generators
+    n = t.polyhedron.ambient
+    vanish = set(t.positive_part)
+    products: dict = {((0,) * n, F(0)): [()]}
+    for i, (u, g) in enumerate(gens):
+        products.setdefault((u, g), []).append((i,))
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            u = tuple(a + b for a, b in zip(gens[i][0], gens[j][0]))
+            products.setdefault((u, gens[i][1] + gens[j][1]), []).append((i, j))
+    identities = tuple(sorted(tuple(sorted(group)) for group in products.values()
+                              if len(group) > 1))
+    fading = []
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            if i in vanish or j in vanish:
+                continue
+            u = tuple(a + b for a, b in zip(gens[i][0], gens[j][0]))
+            if t.monomial_strictly_positive(u, gens[i][1] + gens[j][1]):
+                fading.append((i, j))
+    return SpecialFiberRelations(tuple(sorted(vanish)), identities, tuple(fading))
 
 
 def grid_corner_locus(terms, box, step: Fraction):

@@ -166,6 +166,27 @@ def test_tilted_denominator(capsys, tmp_path):
     assert code == 0 and out["presentation"]["denominator"] == 2
 
 
+def test_tilted_large_triangle(capsys, tmp_path):
+    """x, y >= 0, 97x + 89y <= 9973 at D = 1: the cone has 9973 parallelepiped
+    candidates, which an all-pairs reduction tests against each other for
+    minutes.  The 46 generators, recorded from that reduction, are pinned
+    by the SHA-256 of their repr."""
+    import hashlib
+    import time
+    from fractions import Fraction as F
+    tri = Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0), ((-97, -89), -9973)], 2)
+    path = write(tmp_path, "triangle.json", jio.polyhedron_to_json(tri))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "tilted", path)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    gens = tuple((tuple(g["u"]), F(g["level"])) for g in out["presentation"]["generators"])
+    assert len(gens) == 46
+    assert gens[0] == ((-97, -89), F(9973)) and gens[-1] == ((1, 0), F(0))
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == \
+        "0db1e964eb7d811699cb12e05926ddada2e1a374bb480fd7a08595a28edffcc2"
+
+
 # -- refine ---------------------------------------------------------------------
 
 def test_refine_line_complexes(capsys, tmp_path):

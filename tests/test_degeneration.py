@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from adictrop import polyhedra
 from adictrop.complexes import ExtendedComplex
 from adictrop.degeneration import (InitialIdeal, LaurentPoly, ResiduePoly, ValuedCoeff,
+                                   _tilted_cone,
                                    hypersurface_trop, initial_degeneration_ideal,
                                    initial_form, initial_form_on_stratum, is_integral_at,
                                    linearity_complex, monomial_polyhedron,
@@ -16,7 +20,7 @@ from adictrop.errors import (DenominatorMismatch, ExponentOutsideSublattice,
                              MalformedInput, NonRationalPoint, NotAdmissible,
                              UnverifiedBasis, ZeroPolynomial)
 from adictrop.parsing import parse_coeff, parse_poly
-from adictrop.polyhedra import Cone, Fan, Polyhedron
+from adictrop.polyhedra import Cone, Fan, Polyhedron, _homogenized_dd
 from adictrop.toric import ExtendedPoint, stratum_lattice
 
 F = Fraction
@@ -294,6 +298,80 @@ def test_tilted_generators_are_members_and_closed():
         (u1, g1), (u2, g2) = rng.choice(gens), rng.choice(gens)
         u = tuple(a + b for a, b in zip(u1, u2))
         assert t.contains_monomial(u, g1 + g2)
+
+
+@st.composite
+def tilted_inputs(draw, full_dimensional=True):
+    """(P, D): a nonempty pointed P in Q^1..Q^3 with bounds in (1/D)Z.
+
+    The rows have entries in [-2, 2] and bounds in [-4/D, 1/D].  Each
+    coordinate is boxed to [-2, 2] half the time, so P is bounded, or its
+    rays span less than the space, or all of it.  Unless
+    `full_dimensional`, the first row may be doubled into an equality.
+    """
+    ambient = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    rows = [(draw(st.tuples(*[st.integers(-2, 2)] * ambient)), F(draw(st.integers(-4, 1)), d))
+            for _ in range(draw(st.integers(ambient, ambient + 3)))]
+    for i in range(ambient):
+        if draw(st.booleans()):
+            e = tuple(int(j == i) for j in range(ambient))
+            rows += [(e, F(-2)), (tuple(-v for v in e), F(-2))]
+    if not full_dimensional and draw(st.booleans()):
+        rows.append((tuple(-v for v in rows[0][0]), -rows[0][1]))
+    p = Polyhedron.from_halfspaces(rows, ambient)
+    assume(not p.is_empty and p.is_pointed)
+    assume(not full_dimensional or p.dim == ambient)
+    assume(all((b * d).denominator == 1 for _, b in p.equalities + p.facets))
+    return p, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tilted_inputs())
+@example((Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2), 1))  # rays span
+@example((Polyhedron.from_halfspaces([((1, 0), 1), ((-1, 1), 0)], 2), 2))  # rays do not
+@example((interval(F(1, 2), 1), 2))
+def test_tilted_cone_read_off_facets(case):
+    """The cone read off P's facets is the cone of P's vertex and ray rows,
+    with the same kept pass, and that pass is the one over its own rows."""
+    p, d = case
+    n, rep = p.ambient, p.vrep()
+    rows = [(tuple(d * x for x in v) + (1,), 0) for v in rep.vertices]
+    rows += [(r + (0,), 0) for r in rep.rays]
+    cone, expected = _tilted_cone(p, d), Cone.from_halfspaces(rows, n + 1)
+    assert cone == expected
+    assert cone.__dict__["_generators"] == expected.__dict__["_generators"] \
+        == _homogenized_dd(cone.halfspace_pairs, n + 1)
+
+
+def test_tilted_algebra_runs_no_dd_pass(monkeypatch):
+    cases = [(Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0), ((-3, -2), -7)], 2), 1),
+             (Polyhedron.from_halfspaces([((1, 0), F(1, 2)), ((-1, 2), 0)], 2), 2),
+             (Polyhedron.from_generators([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 3)]), 1)]
+    for p, _ in cases:
+        p.vrep()  # the input's own pass, kept by its canonicalization
+    passes = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    for p, d in cases:
+        special_fiber_relations(tilted_algebra(p, d))
+    assert passes == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tilted_inputs(full_dimensional=False))
+@example((Polyhedron.single_point((0,)), 1))
+@example((Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2), 1))
+def test_special_fiber_relations_match_pairwise_oracle(case):
+    t = tilted_algebra(*case)
+    assert special_fiber_relations(t) == oracles.special_fiber_relations_pairwise(t)
+    assert t.positive_part == tuple(i for i, (u, g) in enumerate(t.generators)
+                                    if t.monomial_strictly_positive(u, g))
 
 
 # -- special fiber relations ---------------------------------------------------------

@@ -93,6 +93,19 @@ def test_embedding_ideal_per_stratum():
             EmbeddingData.of(fan, [], stratum_ideals={bad: []})
 
 
+def test_embedding_refuses_a_repeated_stratum_index():
+    fan = p2_fan()
+    ray_idx = fan.index_of(Cone.from_rays([(0, 1)], 2))
+    g = LaurentPoly.of(2, [((1, 0), 1), ((0, 0), 1)])
+    with pytest.raises(MalformedEmbedding, match=f"lists cone {ray_idx} twice"):
+        EmbeddingData.of(fan, [], stratum_ideals=[(ray_idx, [g]), (ray_idx, [])])
+    with pytest.raises(MalformedEmbedding, match=f"lists cone {ray_idx} twice"):
+        EmbeddingData(fan, (), False, ((ray_idx, ()), (ray_idx, (g,))))
+    # pairs with distinct indices are taken as the mapping is
+    assert EmbeddingData.of(fan, [], stratum_ideals=[(ray_idx, [g])]) == \
+        EmbeddingData.of(fan, [], stratum_ideals={ray_idx: [g]})
+
+
 # -- cover checks -------------------------------------------------------------------
 
 def test_covers_tropical_line():

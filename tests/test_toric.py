@@ -145,12 +145,14 @@ def _in_lattice_coordinates(cone, lattice):
     return Cone.from_rays([la.solve_exact(columns, r) for r in cone.rays], cone.ambient)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(pointed_cones())
 @example((cone_of((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), None))
 @example((cone_of((1, 0, 0), (1, 3, 0)), None))
 @example((cone_of((1, 0), (1, 2)), ((1, 0), (0, 2))))
 @example((cone_of((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((1, 0, 0), (1, 2, 0), (0, 0, 1))))
+@example((cone_of((1, 0), (1, 7)), None))  # seven candidates, reduced in degree order
+@example((cone_of((2, -1, 1), (-1, 2, 1), (-1, -1, 1)), ((1, 0, 0), (0, 1, 0), (1, 1, 3))))
 def test_hilbert_basis_matches_zonotope_oracle(case):
     cone, lattice = case
     working = cone if lattice is None else _in_lattice_coordinates(cone, lattice)
